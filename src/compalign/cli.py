@@ -2,19 +2,19 @@
 
 Subcommands: ``parse`` builds alignments for a new pattern against a
 grammar file, ``learn`` induces a grammar from a corpus, ``neural``
-runs the rate-based recognition simulator, ``bench`` exercises the
-parallel runtime, and ``validate`` checks a grammar file.
+runs the rate-based recognition simulator, and ``validate`` checks a
+grammar file.
 
-Exit codes: 0 success, 1 domain error (missing file, bad grammar),
-2 usage error.  Identical invocations print identical bytes; anything
-timing-dependent goes to stderr.
+Exit codes: 0 success, 1 domain error (missing file, bad grammar) or a
+closed stdout, 2 usage error or a parameter out of range.  Identical
+invocations print identical bytes; timing-dependent output goes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-import time
 
 from . import __version__
 from .audit import AuditTrail, run_fingerprint
@@ -38,29 +38,24 @@ class DomainError(RuntimeError):
     pass
 
 
-def _load_grammar(path: str):
+def _load(loader, path: str, what: str):
     try:
-        return load_grammar(path)
+        return loader(path)
     except FileNotFoundError:
-        raise DomainError(f"grammar file not found: {path}")
+        raise DomainError(f"{what} file not found: {path}")
     except ValueError as exc:
         raise DomainError(f"{path}: {exc}")
 
 
 def _load_new(path: str):
-    try:
-        items = load_new(path)
-    except FileNotFoundError:
-        raise DomainError(f"input file not found: {path}")
-    except ValueError as exc:
-        raise DomainError(f"{path}: {exc}")
+    items = _load(load_new, path, "input")
     if not items:
         raise DomainError(f"no patterns in {path}")
     return items
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
-    grammar = _load_grammar(args.grammar)
+    grammar = _load(load_grammar, args.grammar, "grammar")
     news = _load_new(args.new)
     new = news[0] if len(news) == 1 else news
     params = EngineParams(
@@ -128,7 +123,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
 
 
 def _cmd_neural(args: argparse.Namespace) -> int:
-    grammar = _load_grammar(args.grammar)
+    grammar = _load(load_grammar, args.grammar, "grammar")
     inputs = _load_new(args.input)
     params = NeuralParams(
         baseline_rate=args.baseline,
@@ -166,47 +161,6 @@ def _cmd_neural(args: argparse.Namespace) -> int:
                     + "\n"
                 )
     return 0
-
-
-def _bench_workers(grammar_path: str, new_path: str, counts: list[int]) -> int:
-    grammar = _load_grammar(grammar_path)
-    new = _load_new(new_path)[0]
-    reference = None
-    for w in counts:
-        t0 = time.perf_counter()
-        result = analyse(new, grammar, workers=w)
-        dt = time.perf_counter() - t0
-        best = result.best
-        if reference is None:
-            reference = best.score_bits
-        agree = "ok" if best.score_bits == reference else "MISMATCH"
-        print(f"workers {w}: score {best.score_bits:.6f} {agree}")
-        print(f"workers {w}: {dt:.3f}s", file=sys.stderr)
-    return 0
-
-
-def _bench_index(grammar_path: str, new_path: str) -> int:
-    grammar = _load_grammar(grammar_path)
-    new = _load_new(new_path)[0]
-    index = MatchIndex()
-    for label in ("cold", "warm"):
-        h0, m0 = index.hits, index.misses
-        t0 = time.perf_counter()
-        result = analyse(new, grammar, index=index)
-        dt = time.perf_counter() - t0
-        h, m = index.hits - h0, index.misses - m0
-        rate = h / (h + m) if h + m else 0.0
-        print(f"{label}: score {result.best.score_bits:.6f} hit rate {rate:.3f}")
-        print(f"{label}: {dt:.3f}s", file=sys.stderr)
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.suite == "workers":
-        return _bench_workers(args.grammar, args.new, [1, 2, 4, 8])
-    if args.suite == "index":
-        return _bench_index(args.grammar, args.new)
-    raise DomainError(f"unknown bench suite: {args.suite}")
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -270,12 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=1.8)
     p.set_defaults(fn=_cmd_neural)
 
-    p = sub.add_parser("bench", help="runtime behaviour checks")
-    p.add_argument("--suite", required=True, choices=("workers", "index"))
-    p.add_argument("--grammar", default="fixtures/parsing_grammar.sp")
-    p.add_argument("--new", default="fixtures/parsing_new.sp")
-    p.set_defaults(fn=_cmd_bench)
-
     p = sub.add_parser("validate", help="check a grammar file")
     p.add_argument("--grammar", required=True)
     p.set_defaults(fn=_cmd_validate)
@@ -286,9 +234,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except DomainError as exc:
         print(str(exc), file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader is gone; keep the flush at exit from raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -11,10 +11,9 @@ of the combined pool until nothing changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from .matcher import Chain, Hit, SearchBudget, match_alignment
-from .runtime import map_tasks
 from .model import (
     AlignmentError,
     Grammar,
@@ -23,6 +22,7 @@ from .model import (
     SymbolTable,
     canonicalize,
     combine_new,
+    require_at_least,
     serialize_alignment,
 )
 
@@ -34,6 +34,9 @@ class EngineParams:
     alignment_beam: int = 100
     max_stages: int = 12
     top_k: int = 5
+
+    def __post_init__(self) -> None:
+        require_at_least(1, **vars(self))
 
 
 @dataclass(frozen=True)
@@ -190,15 +193,6 @@ def _pattern_key(p: Pattern) -> str:
     return f"{p.serial}|{p.id_len}|{p.close_len}|{' '.join(p.symbols)}"
 
 
-def _match_job(
-    alignment: MultipleAlignment,
-    pattern: Pattern,
-    table: SymbolTable,
-    budget: SearchBudget,
-) -> list[tuple[Chain, float]]:
-    return match_alignment(alignment, pattern, table, budget)
-
-
 def analyse(
     new: Pattern | Sequence[Pattern],
     grammar: Grammar,
@@ -207,7 +201,11 @@ def analyse(
     audit: StageObserver | None = None,
     workers: int = 1,
 ) -> AnalysisResult:
-    """Build the best alignments of the analysed pattern(s) against a grammar."""
+    """Build the best alignments of the analysed pattern(s) against a grammar.
+
+    ``workers`` must be at least 1; the work always runs in this process.
+    """
+    require_at_least(1, workers=workers)
     start = new if isinstance(new, Pattern) else combine_new(tuple(new))
     bare = MultipleAlignment((start,), ())
     bare.validate()
@@ -218,28 +216,20 @@ def analyse(
     def resolve(
         jobs: list[tuple[MultipleAlignment, Pattern]],
     ) -> list[list[tuple[Chain, float]]]:
-        """Chains per job; the index is consulted in the parent only."""
-        if index is not None:
-            keys = [
-                index.fingerprint(
-                    gkey, serialize_alignment(a), _pattern_key(p), budget
-                )
-                for a, p in jobs
-            ]
-            results = [index.get(k) for k in keys]
-        else:
-            keys = []
-            results = [None] * len(jobs)
-        missing = [i for i, r in enumerate(results) if r is None]
-        payloads = [(jobs[i][0], jobs[i][1], table, budget) for i in missing]
-        if workers > 1 and len(payloads) > 1:
-            computed = map_tasks(_match_job, payloads, workers=workers)
-        else:
-            computed = [_match_job(*p) for p in payloads]
-        for i, chains in zip(missing, computed):
-            results[i] = chains
+        """Chains per job, served from the index when one is given."""
+        results = []
+        for alignment, pat in jobs:
+            key = chains = None
             if index is not None:
-                index.put(keys[i], chains)
+                key = index.fingerprint(
+                    gkey, serialize_alignment(alignment), _pattern_key(pat), budget
+                )
+                chains = index.get(key)
+            if chains is None:
+                chains = match_alignment(alignment, pat, table, budget)
+                if index is not None:
+                    index.put(key, chains)
+            results.append(chains)
         return results
 
     def sort_key(item: tuple[str, ScoredAlignment]) -> tuple:
@@ -275,13 +265,9 @@ def analyse(
                 seen.add(ser)
                 fresh.append((ser, score_alignment(merged, table)))
         stages_run = stage
-        if not fresh:
-            break
+        # the pool is sorted, so a stage with nothing fresh ends here too
         ranked = sorted(pool + fresh, key=sort_key)
         combined = ranked[: params.alignment_beam]
-        if combined == pool:
-            break
-        pool = combined
         if audit is not None:
             audit.record_stage(
                 stage,
@@ -290,6 +276,9 @@ def analyse(
                     for i, (ser, scored) in enumerate(ranked)
                 ],
             )
+        if combined == pool:
+            break
+        pool = combined
 
     top = [scored for _, scored in pool[: params.top_k]]
     probs = alignment_probabilities([s.score_bits for s in top])
@@ -303,7 +292,7 @@ def analyse_serialized(
     index=None,
     workers: int = 1,
 ) -> str:
-    """Text dump of an analysis, stable across runs and worker layouts."""
+    """Text dump of an analysis, stable across runs."""
     result = analyse(new, grammar, params, index=index, workers=workers)
     parts = []
     for scored, prob in zip(result.alignments, result.probabilities):

@@ -15,7 +15,6 @@ ambiguity because pattern lines always start with a number.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable
 
 from .model import Grammar, Pattern
 
@@ -78,13 +77,8 @@ def numbered_patterns(text: str) -> list[tuple[int, Pattern]]:
     return out
 
 
-def iter_pattern_lines(text: str) -> Iterable[Pattern]:
-    for _, pattern in numbered_patterns(text):
-        yield pattern
-
-
 def parse_grammar_text(text: str) -> Grammar:
-    return Grammar.of(iter_pattern_lines(text))
+    return Grammar.of(p for _, p in numbered_patterns(text))
 
 
 def load_grammar(path: str | Path) -> Grammar:
@@ -93,7 +87,7 @@ def load_grammar(path: str | Path) -> Grammar:
 
 def parse_new_text(text: str) -> list[Pattern]:
     """Analysed input uses the same line format, usually span-free."""
-    return list(iter_pattern_lines(text))
+    return [p for _, p in numbered_patterns(text)]
 
 
 def load_new(path: str | Path) -> list[Pattern]:

@@ -22,6 +22,7 @@ from .model import (
     MultipleAlignment,
     Pattern,
     SymbolTable,
+    require_at_least,
     serialize_alignment,
 )
 
@@ -34,6 +35,10 @@ class LearnParams:
     engine: EngineParams = EngineParams(
         beam_width=32, max_alternatives=2, alignment_beam=20, max_stages=8, top_k=3
     )
+
+    def __post_init__(self) -> None:
+        require_at_least(1, grammar_beam=self.grammar_beam)
+        require_at_least(0, passes=self.passes, encoding_passes=self.encoding_passes)
 
 
 @dataclass(frozen=True)
@@ -278,7 +283,6 @@ def evaluate_grammar(
     corpus: Sequence[Pattern],
     corpus_table: SymbolTable,
     eparams: EngineParams,
-    workers: int = 1,
 ) -> ScoredGrammar:
     """Price a grammar: its own bits plus the corpus encoded through it.
 
@@ -299,7 +303,7 @@ def evaluate_grammar(
     parses: list[tuple[Pattern, MultipleAlignment | None]] = []
     counts: dict[int, int] = {}
     for item in corpus:
-        result = analyse(item, grammar, eparams, workers=workers)
+        result = analyse(item, grammar, eparams)
         best = result.best.alignment if result.alignments else None
         if best is not None and not best.columns:
             best = None
@@ -361,6 +365,11 @@ def learn(
     params: LearnParams = LearnParams(),
     workers: int = 1,
 ) -> LearnResult:
+    """Search for the grammar that best compresses the corpus.
+
+    ``workers`` must be at least 1; the work always runs in this process.
+    """
+    require_at_least(1, workers=workers)
     corpus = tuple(corpus)
     if not corpus:
         raise ValueError("empty corpus")
@@ -371,7 +380,7 @@ def learn(
     budget = SearchBudget(params.engine.beam_width, params.engine.max_alternatives)
 
     empty = evaluate_grammar(
-        Grammar.of(()), corpus, corpus_table, params.engine, workers
+        Grammar.of(()), corpus, corpus_table, params.engine
     )
     pool: list[ScoredGrammar] = [empty]
     passes_run = 0
@@ -386,7 +395,7 @@ def learn(
                     alignment_sources.append((g, al))
             else:
                 for item in corpus:
-                    result = analyse(item, g, params.engine, workers=workers)
+                    result = analyse(item, g, params.engine)
                     for cand in result.alignments[:2]:
                         if cand.alignment.columns:
                             alignment_sources.append((g, cand.alignment))
@@ -411,7 +420,7 @@ def learn(
         limit = params.grammar_beam * 8
         todo = list(successors.values())[:limit]
         scored_new = [
-            evaluate_grammar(g, corpus, corpus_table, params.engine, workers)
+            evaluate_grammar(g, corpus, corpus_table, params.engine)
             for g in todo
         ]
 
@@ -439,7 +448,7 @@ def learn(
         result = replace(
             result,
             encoding_level=learn_from_encodings(
-                pool[0].grammar, corpus, params, workers
+                pool[0].grammar, corpus, params
             ),
         )
     return result
@@ -456,7 +465,6 @@ def learn_from_encodings(
     grammar: Grammar,
     corpus: Sequence[Pattern],
     params: LearnParams,
-    workers: int = 1,
 ) -> LearnResult | None:
     """Run a second learning level over the corpus's encodings.
 
@@ -466,7 +474,7 @@ def learn_from_encodings(
     """
     second: list[Pattern] = []
     for item in corpus:
-        result = analyse(item, grammar, params.engine, workers=workers)
+        result = analyse(item, grammar, params.engine)
         if not result.alignments:
             continue
         texts = result.best.alignment.encoding_texts()
@@ -475,4 +483,4 @@ def learn_from_encodings(
     if not second:
         return None
     inner = replace(params, passes=params.encoding_passes, encoding_passes=0)
-    return learn(second, inner, workers=workers)
+    return learn(second, inner)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import MultipleAlignment, Pattern, Slot, Span, SymbolTable
+from .model import MultipleAlignment, Pattern, Slot, Span, SymbolTable, require_at_least
 
 
 @dataclass(frozen=True)
@@ -24,10 +24,7 @@ class SearchBudget:
     max_alternatives: int = 8
 
     def __post_init__(self) -> None:
-        if self.beam_width < 1:
-            raise ValueError("beam width must be at least 1")
-        if self.max_alternatives < 1:
-            raise ValueError("need at least one alternative")
+        require_at_least(1, **vars(self))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,12 @@ NEW_SEPARATOR = "<+>"
 _MIN_COST_BITS = 2.0 ** -10
 
 
+def require_at_least(minimum: int, **values: int) -> None:
+    for name, value in values.items():
+        if value < minimum:
+            raise ValueError(f"{name} must be at least {minimum}, got {value}")
+
+
 class Span(Enum):
     """Region of a pattern that a position falls into."""
 

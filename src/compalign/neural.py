@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .model import Grammar, Pattern
+from .model import Grammar, Pattern, require_at_least
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,7 @@ class NeuralParams:
     def __post_init__(self) -> None:
         if self.baseline_rate <= 0 or self.inhibition_gain <= 0:
             raise ValueError("rates must be positive")
-        if self.settle_tau < 1:
-            raise ValueError("settle_tau must be at least 1")
+        require_at_least(1, settle_tau=self.settle_tau)
         if not 1.0 < self.recognition_threshold < 2.0:
             raise ValueError("threshold must sit between partial and full match")
 

@@ -1,87 +1,19 @@
-"""Deterministic fan-out of analysis work plus a reusable match cache.
-
-Results come back in task submission order no matter how many workers
-run, so a batch is reproducible byte for byte across worker counts.
-The cache is keyed by content fingerprints and is only ever consulted
-from the coordinating process; workers never share it.
-"""
+"""The match index: match results kept across analyses by the engine."""
 
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Sequence
+from typing import Any
 
-
-class TaskFailure(RuntimeError):
-    """A task failed after its retry budget was spent."""
-
-    def __init__(self, task_index: int, attempts: int, cause: BaseException):
-        super().__init__(
-            f"task {task_index} failed after {attempts} attempt(s): {cause!r}"
-        )
-        self.task_index = task_index
-        self.attempts = attempts
-
-
-def map_tasks(
-    fn: Callable[..., Any],
-    tasks: Sequence[tuple],
-    workers: int = 1,
-    retry: int = 1,
-) -> list[Any]:
-    """Apply fn to every argument tuple, preserving task order.
-
-    With one worker everything runs inline.  With more, tasks go to a
-    fork-based process pool; each task gets ``retry`` extra attempts
-    before the whole batch fails with the task's index attached.
-    """
-    if workers < 1:
-        raise ValueError("need at least one worker")
-    task_list = [tuple(t) for t in tasks]
-    if workers == 1:
-        results = []
-        for i, args in enumerate(task_list):
-            results.append(_run_inline(fn, args, i, retry))
-        return results
-
-    ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        futures = [pool.submit(fn, *args) for args in task_list]
-        results = []
-        for i, future in enumerate(futures):
-            attempts = 1
-            while True:
-                try:
-                    results.append(future.result())
-                    break
-                except Exception as exc:
-                    if attempts > retry:
-                        raise TaskFailure(i, attempts, exc) from exc
-                    attempts += 1
-                    future = pool.submit(fn, *task_list[i])
-    return results
-
-
-def _run_inline(fn: Callable[..., Any], args: tuple, index: int, retry: int) -> Any:
-    attempts = 0
-    while True:
-        attempts += 1
-        try:
-            return fn(*args)
-        except Exception as exc:
-            if attempts > retry:
-                raise TaskFailure(index, attempts, exc) from exc
+from .model import require_at_least
 
 
 class MatchIndex:
     """LRU cache of match results keyed by content fingerprints."""
 
     def __init__(self, capacity: int = 1_000_000):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
+        require_at_least(1, capacity=capacity)
         self.capacity = capacity
         self._store: OrderedDict[str, Any] = OrderedDict()
         self.hits = 0

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from compalign import (
     AuditTrail,
     EngineParams,
@@ -68,6 +70,17 @@ def test_records_are_ordered_and_full(tmp_path, parsing_grammar, parsing_new):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["records"] == len(trail.records)
     assert manifest["stages"] == sorted(set(trail.stages))
+
+
+@pytest.mark.parametrize("stem", ["parsing", "class"])
+def test_trail_records_the_stage_that_ends_the_search(stem, request):
+    trail = AuditTrail(run_id="last-stage")
+    result = analyse(
+        request.getfixturevalue(f"{stem}_new"),
+        request.getfixturevalue(f"{stem}_grammar"),
+        audit=trail,
+    )
+    assert trail.stages == list(range(1, result.stages_run + 1))
 
 
 def test_no_pruned_candidate_outscores_a_survivor(

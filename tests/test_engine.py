@@ -60,6 +60,15 @@ def test_unmatchable_input_returns_bare_reading():
     assert result.best.alignment.columns == ()
 
 
+@pytest.mark.parametrize(
+    "field", ["beam_width", "max_alternatives", "alignment_beam", "max_stages", "top_k"]
+)
+@pytest.mark.parametrize("value", [0, -1])
+def test_engine_params_reject_values_below_one(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be at least 1, got {value}"):
+        EngineParams(**{field: value})
+
+
 # --- merge unit behaviour ---
 
 

@@ -207,6 +207,16 @@ def test_learn_rejects_empty_corpus():
         learn(())
 
 
+@pytest.mark.parametrize(
+    "field, value, minimum",
+    [("grammar_beam", 0, 1), ("passes", -1, 0), ("encoding_passes", -1, 0)],
+)
+def test_learn_params_reject_out_of_range_values(field, value, minimum):
+    with pytest.raises(ValueError, match=f"{field} must be at least {minimum}"):
+        LearnParams(**{field: value})
+    assert getattr(LearnParams(**{field: minimum}), field) == minimum
+
+
 def test_learn_is_deterministic(suffix_corpus):
     a = learn(suffix_corpus)
     b = learn(suffix_corpus)

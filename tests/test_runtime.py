@@ -1,84 +1,17 @@
-"""Work fan-out and the match cache: ordering, retries, eviction."""
+"""The match cache and the ``workers`` argument: eviction, checks, bytes."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from compalign import MatchIndex, TaskFailure, analyse_serialized, map_tasks
+from compalign import MatchIndex, analyse_serialized, learn
 
 
-def _add(a, b):
-    return a + b
-
-
-def _square(x):
-    return x * x
-
-
-def _boom(x):
-    raise RuntimeError(f"bad input {x}")
-
-
-def _flaky(counter_path, x):
-    # file-based counter so retries across forked processes can see it
-    with open(counter_path, "a") as f:
-        f.write("x")
-    with open(counter_path) as f:
-        attempts = len(f.read())
-    if attempts < 3:
-        raise RuntimeError("not yet")
-    return x
-
-
-def test_results_come_back_in_submission_order():
-    tasks = [(i,) for i in range(20)]
-    assert map_tasks(_square, tasks, workers=1) == [i * i for i in range(20)]
-    assert map_tasks(_square, tasks, workers=4) == [i * i for i in range(20)]
-
-
-def test_argument_tuples_are_star_unpacked():
-    assert map_tasks(_add, [(1, 2), (3, 4)], workers=2) == [3, 7]
-
-
-def test_worker_count_must_be_positive():
-    with pytest.raises(ValueError):
-        map_tasks(_square, [(1,)], workers=0)
-
-
-def test_inline_retry_eventually_succeeds(tmp_path):
-    counter = tmp_path / "attempts"
-    counter.touch()
-    assert map_tasks(_flaky, [(str(counter), 7)], workers=1, retry=2) == [7]
-    assert counter.read_text() == "xxx"
-
-
-def test_pool_retry_eventually_succeeds(tmp_path):
-    counter = tmp_path / "attempts"
-    counter.touch()
-    tasks = [(str(counter), 7), (str(counter) + ".other", 1)]
-    (tmp_path / "attempts.other").write_text("xxx")
-    assert map_tasks(_flaky, tasks, workers=2, retry=2) == [7, 1]
-
-
-def test_exhausted_retries_name_the_task():
-    with pytest.raises(TaskFailure) as info:
-        map_tasks(_boom, [(0,), (1,)], workers=1, retry=1)
-    assert info.value.task_index == 0
-    assert info.value.attempts == 2
-    assert "bad input 0" in str(info.value)
-
-    with pytest.raises(TaskFailure) as info:
-        map_tasks(_boom, [(5,)], workers=2, retry=0)
-    assert info.value.task_index == 0
-    assert info.value.attempts == 1
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.tuples(st.integers(), st.integers()), max_size=12))
-def test_inline_matches_direct_application(tasks):
-    assert map_tasks(_add, tasks, workers=1) == [a + b for a, b in tasks]
+def test_worker_count_must_be_positive(parsing_grammar, parsing_new):
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        analyse_serialized(parsing_new, parsing_grammar, workers=0)
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        learn([parsing_new], workers=0)
 
 
 # --- match cache ---
@@ -123,7 +56,7 @@ def test_empty_index_reports_zero_rate():
         MatchIndex(capacity=0)
 
 
-# --- the two features composed with analysis ---
+# --- the cache and the worker count composed with analysis ---
 
 
 def test_analysis_text_is_identical_across_workers_and_cache(
