@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .audit import AuditTrail, run_fingerprint
-from .engine import EngineParams, _grammar_fingerprint, analyse
+from .engine import EngineParams, analyse
 from .grammar_io import (
     FormatError,
     format_pattern,
@@ -69,7 +69,7 @@ def _cmd_parse(args: argparse.Namespace) -> int:
         new_key = " ".join(
             s for item in news for s in item.symbols
         )
-        rid = run_fingerprint(params, _grammar_fingerprint(grammar), new_key)
+        rid = run_fingerprint(params, grammar.fingerprint, new_key)
         trail = AuditTrail(run_id=rid, workers=args.workers, index=index)
     result = analyse(
         new, grammar, params, index=index, audit=trail, workers=args.workers

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
-from .matcher import Chain, Hit, SearchBudget, match_alignment
+from .matcher import Chain, SearchBudget, match_alignment
 from .model import (
     AlignmentError,
     Grammar,
@@ -43,8 +43,10 @@ class EngineParams:
 class ScoredAlignment:
     alignment: MultipleAlignment
     score_bits: float
-    unification_bits: float
-    encoding: tuple[str, ...]
+
+    @property
+    def encoding(self) -> tuple[str, ...]:
+        return self.alignment.encoding_texts()
 
 
 @dataclass(frozen=True)
@@ -69,23 +71,15 @@ def score_alignment(
     alignment: MultipleAlignment, table: SymbolTable
 ) -> ScoredAlignment:
     matched_new = 0.0
-    unification = 0.0
     for col in alignment.columns:
-        c = table.cost(alignment.text_of(col))
-        unification += (len(col.members) - 1) * c
         for r, _ in col.members:
             if r == 0:
-                matched_new += c
+                matched_new += table.cost(alignment.text_of(col))
     cited = 0.0
-    encoding = []
     for r, p in alignment.encoding_cells():
-        text = alignment.rows[r].symbols[p]
-        encoding.append(text)
         if r > 0:
-            cited += table.cost(text)
-    return ScoredAlignment(
-        alignment, matched_new - cited, unification, tuple(encoding)
-    )
+            cited += table.cost(alignment.rows[r].symbols[p])
+    return ScoredAlignment(alignment, matched_new - cited)
 
 
 def merge_chain(
@@ -94,8 +88,7 @@ def merge_chain(
     """Attach ``old`` as a new row along a match chain.
 
     Chain elements are (slot index, target position) pairs as produced
-    by the matcher.  Returns None when the chain is not a legal match,
-    so the same routine backs both the engine and the public ``merge``.
+    by the matcher.  Returns None when the chain is not a legal match.
     """
     slots = base.slots()
     new_row = len(base.rows)
@@ -103,8 +96,8 @@ def merge_chain(
     caps: dict[int, int] = {}
     last_t = -1
     fused: dict[int, tuple[int, int]] = {}
-    created: list[tuple[int, int, tuple[int, int], tuple[int, int]]] = []
-    for seq, (i, t) in enumerate(chain):
+    created: list[tuple[tuple[int, int], ...]] = []
+    for i, t in chain:
         if not 0 <= i < len(slots) or not 0 <= t < len(old.symbols):
             return None
         if t <= last_t:
@@ -138,34 +131,23 @@ def merge_chain(
                 return None
             caps[slot.row] = slot.pos
             min_gap = gap
-            created.append((gap, seq, (slot.row, slot.pos), (new_row, t)))
+            created.append(((slot.row, slot.pos), (new_row, t)))
     if not created:
         # a row that only joins existing columns explains nothing new;
         # alternative readings of the same cells live in the pool as
         # separate alignments instead
         return None
 
-    placed: list[tuple[tuple[int, int], list[tuple[int, int]]]] = []
-    for j, col in enumerate(base.columns):
-        members = list(col.members)
-        if j in fused:
-            members.append(fused[j])
-        placed.append(((2 * j, 0), members))
-    for gap, seq, cell, new_cell in created:
-        placed.append(((2 * gap - 1, seq + 1), [cell, new_cell]))
-    placed.sort(key=lambda e: e[0])
+    # canonicalize orders columns by their content alone, so the new
+    # columns need no placement among the old ones
+    columns = [
+        col.members + (fused[j],) if j in fused else col.members
+        for j, col in enumerate(base.columns)
+    ]
     try:
-        return canonicalize(base.rows + (old,), [m for _, m in placed])
+        return canonicalize(base.rows + (old,), columns + created)
     except AlignmentError:
         return None
-
-
-def merge(
-    base: MultipleAlignment, old: Pattern, hits: Sequence[Hit]
-) -> MultipleAlignment | None:
-    """Public merge: hit driving positions index the slot view of base."""
-    chain = tuple((h.driving_pos, h.target_pos) for h in hits)
-    return merge_chain(base, old, chain)
 
 
 def alignment_probabilities(scores: Sequence[float]) -> tuple[float, ...]:
@@ -176,17 +158,6 @@ def alignment_probabilities(scores: Sequence[float]) -> tuple[float, ...]:
     weights = [2.0 ** (s - top) for s in scores]
     mass = sum(weights)
     return tuple(w / mass for w in weights)
-
-
-def _grammar_fingerprint(grammar: Grammar) -> str:
-    cached = getattr(grammar, "_fp", None)
-    if cached is None:
-        cached = "\x1f".join(
-            f"{p.frequency}|{p.id_len}|{p.close_len}|{' '.join(p.symbols)}"
-            for p in grammar.patterns
-        )
-        object.__setattr__(grammar, "_fp", cached)
-    return cached
 
 
 def _pattern_key(p: Pattern) -> str:
@@ -209,9 +180,9 @@ def analyse(
     start = new if isinstance(new, Pattern) else combine_new(tuple(new))
     bare = MultipleAlignment((start,), ())
     bare.validate()
-    table = grammar.table()
+    table = grammar.table
     budget = SearchBudget(params.beam_width, params.max_alternatives)
-    gkey = _grammar_fingerprint(grammar)
+    gkey = grammar.fingerprint
 
     def resolve(
         jobs: list[tuple[MultipleAlignment, Pattern]],

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
-from .engine import EngineParams, analyse, merge_chain, score_alignment
+from .engine import EngineParams, analyse, merge_chain
 from .matcher import SearchBudget, match_alignment
 from .model import (
     Grammar,
@@ -316,7 +316,7 @@ def evaluate_grammar(
         replace(p, frequency=max(1, counts.get(p.serial, 0)))
         for p in grammar.patterns
     )
-    table = refreshed.table()
+    table = refreshed.table
     g_bits = sum(
         p.raw_cost(table) + math.log2(table.mass) for p in refreshed.patterns
     )

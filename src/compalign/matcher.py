@@ -27,18 +27,6 @@ class SearchBudget:
         require_at_least(1, **vars(self))
 
 
-@dataclass(frozen=True)
-class Hit:
-    driving_pos: int
-    target_pos: int
-
-
-@dataclass(frozen=True)
-class HitSequence:
-    hits: tuple[Hit, ...]
-    score_bits: float
-
-
 Chain = tuple[tuple[int, int], ...]
 
 
@@ -152,36 +140,20 @@ def match_alignment(
     table: SymbolTable,
     budget: SearchBudget,
 ) -> list[tuple[Chain, float]]:
-    return match_slots(alignment.slots(), target, table, budget)
+    """Best chains of ``target`` against the slot view of ``alignment``.
 
-
-def find_matches(
-    driving: Pattern,
-    target: Pattern,
-    table: SymbolTable,
-    budget: SearchBudget = SearchBudget(),
-) -> list[HitSequence]:
-    """Alternative partial matches of target inside a single pattern.
-
-    Returns up to ``budget.max_alternatives`` hit sequences sorted by
-    descending score; an empty list when nothing matches at all.
+    On a bare one-row alignment a slot index is a position of that row.
     """
-    bare = MultipleAlignment((driving,), ())
-    slots = bare.slots()
-    chains = match_slots(slots, target, table, budget)
-    out = []
-    for chain, score in chains:
-        hits = tuple(Hit(slots[i].pos, t) for i, t in chain)
-        out.append(HitSequence(hits, score))
-    return out
+    return match_slots(alignment.slots(), target, table, budget)
 
 
 def brute_force_best_match(
     driving: Pattern, target: Pattern, table: SymbolTable
-) -> HitSequence:
+) -> tuple[Chain, float]:
     """Exact best match by quadratic dynamic programming.
 
-    Serves as an oracle for ``find_matches``; the hit sequence may be
+    Serves as an oracle for ``match_alignment`` on the bare alignment of
+    ``driving``, whose slot indices are its positions; the chain is
     empty when the patterns share no symbol.
     """
     n, m = len(driving.symbols), len(target.symbols)
@@ -195,19 +167,19 @@ def brute_force_best_match(
                 if cand > best:
                     best = cand
             row[j] = best
-    hits: list[Hit] = []
+    chain: list[tuple[int, int]] = []
     i, j = n, m
     while i > 0 and j > 0:
         if (
             driving.symbols[i - 1] == target.symbols[j - 1]
             and dp[i][j] == dp[i - 1][j - 1] + table.cost(target.symbols[j - 1])
         ):
-            hits.append(Hit(i - 1, j - 1))
+            chain.append((i - 1, j - 1))
             i -= 1
             j -= 1
         elif dp[i][j] == dp[i - 1][j]:
             i -= 1
         else:
             j -= 1
-    hits.reverse()
-    return HitSequence(tuple(hits), dp[n][m])
+    chain.reverse()
+    return tuple(chain), dp[n][m]

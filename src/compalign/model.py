@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 NEW_SEPARATOR = "<+>"
@@ -156,12 +157,17 @@ class Grammar:
         rows = tuple(replace(p, serial=i) for i, p in enumerate(patterns))
         return cls(rows)
 
+    @cached_property
     def table(self) -> SymbolTable:
-        cached = getattr(self, "_table", None)
-        if cached is None:
-            cached = SymbolTable.from_patterns(self.patterns)
-            object.__setattr__(self, "_table", cached)
-        return cached
+        return SymbolTable.from_patterns(self.patterns)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Stable text key of the patterns, for match indexes and audit runs."""
+        return "\x1f".join(
+            f"{p.frequency}|{p.id_len}|{p.close_len}|{' '.join(p.symbols)}"
+            for p in self.patterns
+        )
 
 
 def validate_grammar(
@@ -350,9 +356,6 @@ class MultipleAlignment:
             hi=hi,
             span=pat.span_of(p),
         )
-
-    def projected_texts(self) -> tuple[str, ...]:
-        return tuple(slot.text for slot in self.slots())
 
     def encoding_cells(self) -> tuple[tuple[int, int], ...]:
         """Cells whose texts make up the alignment's code.

@@ -16,7 +16,7 @@ and missing one cell gives at most 2b(n-1)/n.  The default threshold of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .model import Grammar, Pattern, require_at_least

@@ -129,7 +129,7 @@ def chain_masks(texts, pattern):
 
 def exhaustive_best_score(new, grammar):
     """Optimal score over all legal alignments, by the coverage reduction."""
-    table = grammar.table()
+    table = grammar.table
     texts = new.symbols
     n = len(texts)
     moves = []

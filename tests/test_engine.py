@@ -11,13 +11,11 @@ from hypothesis import strategies as st
 from compalign import (
     EngineParams,
     Grammar,
-    Hit,
     MultipleAlignment,
     Pattern,
     SymbolTable,
     alignment_probabilities,
     analyse,
-    merge,
     new_pattern,
     serialize_alignment,
 )
@@ -78,7 +76,7 @@ def _simple_base():
 
 def test_merge_attaches_row_and_validates():
     old = Pattern(("%1", "a", "b", "#%1"), 1, 1, 1, serial=0)
-    merged = merge(_simple_base(), old, [Hit(0, 1), Hit(1, 2)])
+    merged = merge_chain(_simple_base(), old, ((0, 1), (1, 2)))
     assert merged is not None
     merged.validate()
     assert len(merged.rows) == 2
@@ -88,15 +86,15 @@ def test_merge_attaches_row_and_validates():
 
 def test_merge_rejects_text_mismatch_and_crossing():
     old = Pattern(("%1", "a", "b", "#%1"), 1, 1, 1, serial=0)
-    assert merge(_simple_base(), old, [Hit(0, 2)]) is None  # a vs b
-    assert merge(_simple_base(), old, [Hit(0, 2), Hit(1, 1)]) is None
+    assert merge_chain(_simple_base(), old, ((0, 2),)) is None  # a vs b
+    assert merge_chain(_simple_base(), old, ((0, 2), (1, 1))) is None
 
 
 def test_merge_chain_fuses_shared_columns():
-    base = merge(
+    base = merge_chain(
         _simple_base(),
         Pattern(("%1", "a", "b", "#%1"), 1, 1, 1, serial=0),
-        [Hit(0, 1), Hit(1, 2)],
+        ((0, 1), (1, 2)),
     )
     slots = base.slots()
     a_slot = next(i for i, s in enumerate(slots) if s.kind == "col" and s.text == "a")
@@ -115,10 +113,10 @@ def test_merge_chain_fuses_shared_columns():
 def test_merge_chain_rejects_column_only_rows():
     # a row whose every cell lands in an existing column explains nothing
     # new, so the engine refuses to build it
-    base = merge(
+    base = merge_chain(
         _simple_base(),
         Pattern(("%1", "a", "b", "#%1"), 1, 1, 1, serial=0),
-        [Hit(0, 1), Hit(1, 2)],
+        ((0, 1), (1, 2)),
     )
     slots = base.slots()
     a_slot = next(i for i, s in enumerate(slots) if s.kind == "col" and s.text == "a")
@@ -161,7 +159,7 @@ def _closure_best(new, grammar, max_rows, cap=6000):
     """
     from compalign import score_alignment
 
-    table = grammar.table()
+    table = grammar.table
     bare = MultipleAlignment((new,), ())
     seen = {serialize_alignment(bare)}
     frontier = [bare]

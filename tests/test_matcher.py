@@ -9,13 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compalign import (
+    EngineParams,
+    MultipleAlignment,
     Pattern,
     SearchBudget,
     SymbolTable,
+    analyse,
     brute_force_best_match,
-    find_matches,
+    match_alignment,
     new_pattern,
 )
+
+from conftest import random_micro_instance
 
 
 def _exhaustive_best(driving: Pattern, target: Pattern, table: SymbolTable) -> float:
@@ -50,13 +55,18 @@ def _random_pattern(rng: random.Random, length: int, alphabet: int) -> Pattern:
     return new_pattern(rng.choice(letters) for _ in range(length))
 
 
+def _match_bare(driving, target, table, budget=SearchBudget()):
+    """Chains of ``target`` against the bare alignment of ``driving``."""
+    return match_alignment(MultipleAlignment((driving,), ()), target, table, budget)
+
+
 def test_brute_force_agrees_with_exhaustive_enumeration():
     rng = random.Random(11)
     table = SymbolTable.from_patterns([])  # uniform 1-bit costs
     for _ in range(80):
         a = _random_pattern(rng, rng.randint(1, 8), rng.randint(2, 4))
         b = _random_pattern(rng, rng.randint(1, 8), rng.randint(2, 4))
-        got = brute_force_best_match(a, b, table).score_bits
+        _, got = brute_force_best_match(a, b, table)
         want = _exhaustive_best(a, b, table)
         assert got == pytest.approx(want), (a.symbols, b.symbols)
 
@@ -68,7 +78,7 @@ def test_brute_force_agrees_with_exhaustive_weighted():
     for _ in range(40):
         a = _random_pattern(rng, rng.randint(1, 7), 3)
         b = _random_pattern(rng, rng.randint(1, 7), 3)
-        got = brute_force_best_match(a, b, table).score_bits
+        _, got = brute_force_best_match(a, b, table)
         want = _exhaustive_best(a, b, table)
         assert got == pytest.approx(want)
 
@@ -89,9 +99,9 @@ def run_random_pair_suite(pairs: int = 500, seed: int = 20260814):
         alphabet = rng.randint(2, 10)
         a = _random_pattern(rng, la, alphabet)
         b = _random_pattern(rng, lb, alphabet)
-        optimum = brute_force_best_match(a, b, table).score_bits
-        found = find_matches(a, b, table, budget)
-        got = found[0].score_bits if found else 0.0
+        _, optimum = brute_force_best_match(a, b, table)
+        found = _match_bare(a, b, table, budget)
+        got = found[0][1] if found else 0.0
         assert got <= optimum + 1e-9, (a.symbols, b.symbols)
         total += 1
         if abs(got - optimum) < 1e-9:
@@ -113,16 +123,31 @@ def test_alternatives_are_sorted_and_bounded():
     table = SymbolTable.from_patterns([])
     a = new_pattern("abcabc")
     b = new_pattern("abc")
-    results = find_matches(a, b, table, SearchBudget(64, 3))
+    results = _match_bare(a, b, table, SearchBudget(64, 3))
     assert 1 <= len(results) <= 3
-    scores = [r.score_bits for r in results]
+    scores = [score for _, score in results]
     assert scores == sorted(scores, reverse=True)
 
 
-def test_no_shared_symbols_yields_nothing():
-    table = SymbolTable.from_patterns([])
-    out = find_matches(new_pattern("abc"), new_pattern("xyz"), table)
-    assert out == []
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_no_shared_symbols_yields_nothing(data):
+    """No chain joins a pattern to an alignment it shares no symbol with.
+
+    The alignments are the final pool of a random micro instance, so
+    most have stored rows, columns and id spans.
+    """
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=10_000)))
+    new, grammar = random_micro_instance(rng)
+    result = analyse(new, grammar, EngineParams(top_k=100))
+    al = data.draw(st.sampled_from([s.alignment for s in result.alignments]))
+    texts = {s for row in al.rows for s in row.symbols}
+    free = [s for s in "abcdefgh" if s not in texts]
+    if not free:
+        return
+    body = data.draw(st.lists(st.sampled_from(free), min_size=1, max_size=6))
+    target = Pattern(("%9", *body, "#%9"), 1, 1, 1, serial=0)
+    assert match_alignment(al, target, grammar.table, SearchBudget()) == []
 
 
 @settings(max_examples=80)
@@ -133,24 +158,24 @@ def test_no_shared_symbols_yields_nothing():
 def test_hit_sequences_are_monotone_and_text_equal(s, t):
     table = SymbolTable.from_patterns([])
     a, b = new_pattern(s), new_pattern(t)
-    for seq in find_matches(a, b, table, SearchBudget(128, 4)):
+    for chain, score_bits in _match_bare(a, b, table, SearchBudget(128, 4)):
         last = (-1, -1)
         score = 0.0
-        for h in seq.hits:
-            assert h.driving_pos > last[0] and h.target_pos > last[1]
-            assert a.symbols[h.driving_pos] == b.symbols[h.target_pos]
-            last = (h.driving_pos, h.target_pos)
-            score += table.cost(a.symbols[h.driving_pos])
-        assert seq.score_bits == pytest.approx(score)
+        for i, t in chain:
+            assert i > last[0] and t > last[1]
+            assert a.symbols[i] == b.symbols[t]
+            last = (i, t)
+            score += table.cost(a.symbols[i])
+        assert score_bits == pytest.approx(score)
 
 
 @given(
     st.text(alphabet="ab", min_size=1, max_size=8),
     st.text(alphabet="ab", min_size=1, max_size=8),
 )
-def test_find_matches_is_deterministic(s, t):
+def test_match_alignment_is_deterministic(s, t):
     table = SymbolTable.from_patterns([])
     a, b = new_pattern(s), new_pattern(t)
-    first = find_matches(a, b, table)
-    second = find_matches(a, b, table)
+    first = _match_bare(a, b, table)
+    second = _match_bare(a, b, table)
     assert first == second

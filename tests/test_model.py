@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,17 +13,21 @@ from compalign import (
     NEW_SEPARATOR,
     AlignmentError,
     Column,
+    EngineParams,
     Grammar,
     MultipleAlignment,
     Pattern,
     Span,
     SymbolTable,
+    analyse,
     combine_new,
     new_pattern,
     serialize_alignment,
     validate_grammar,
 )
 from compalign.model import canonicalize
+
+from conftest import random_micro_instance
 
 # Hand tally of fixtures/parsing_grammar.sp: occurrences multiplied by
 # pattern frequency, plus one smoothing count per distinct symbol.
@@ -72,7 +77,7 @@ def test_symbol_table_a_b_spec_case():
     # single pattern `A a b #A` at frequency 1: four symbols, each with
     # total 2, mass 8, so every cost is exactly 2 bits
     g = Grammar.of([Pattern(("A", "a", "b", "#A"), 1, 1, 1)])
-    table = g.table()
+    table = g.table
     assert table.mass == 8
     for s in ("A", "a", "b", "#A"):
         assert table.total(s) == 2
@@ -80,7 +85,7 @@ def test_symbol_table_a_b_spec_case():
 
 
 def test_symbol_table_parsing_fixture_tally(parsing_grammar):
-    table = parsing_grammar.table()
+    table = parsing_grammar.table
     assert table.mass == PARSING_F
     for sym, total in PARSING_TOTALS.items():
         assert table.total(sym) == total
@@ -91,7 +96,7 @@ def test_symbol_table_parsing_fixture_tally(parsing_grammar):
 
 def test_symbol_table_unseen_and_floor():
     g = Grammar.of([Pattern(("a", "a"), 1)])
-    table = g.table()
+    table = g.table
     assert table.total("zzz") == 1
     assert table.cost("zzz") == pytest.approx(math.log2(table.mass))
     # degenerate one-symbol table: cost would be zero, the floor steps in
@@ -105,10 +110,14 @@ def _kitten_alignment():
     return MultipleAlignment((new, old), cols)
 
 
+def _slot_texts(al):
+    return tuple(slot.text for slot in al.slots())
+
+
 def test_projection_interleaves_rows():
     al = _kitten_alignment()
     al.validate()
-    assert al.projected_texts() == (
+    assert _slot_texts(al) == (
         "Nr",
         "5",
         "k",
@@ -124,7 +133,7 @@ def test_projection_interleaves_rows():
 
 def test_projection_of_bare_row_is_identity():
     al = MultipleAlignment((new_pattern("abc"),), ())
-    assert al.projected_texts() == ("a", "b", "c")
+    assert _slot_texts(al) == ("a", "b", "c")
 
 
 def test_encoding_rule_small_case():
@@ -251,6 +260,25 @@ def test_projection_counts_cells_once(data):
     al = MultipleAlignment((new, old), tuple(cols))
     al.validate()
     expected = len(new.symbols) + len(old.symbols) - len(cols)
-    assert len(al.projected_texts()) == expected
+    assert len(_slot_texts(al)) == expected
     encoding = al.encoding_texts()
-    assert set(encoding) <= set(al.projected_texts())
+    assert set(encoding) <= set(_slot_texts(al))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_canonicalize_fixes_merge_results_in_any_column_order(data):
+    """Merged alignments are canonical whatever order their columns come in.
+
+    ``merge_chain`` hands its columns to ``canonicalize`` unordered, so
+    this is what makes its results independent of that order.
+    """
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=10_000)))
+    new, grammar = random_micro_instance(rng)
+    result = analyse(new, grammar, EngineParams(top_k=100))
+    al = data.draw(st.sampled_from([s.alignment for s in result.alignments]))
+    want = serialize_alignment(al)
+    columns = [col.members for col in al.columns]
+    assert serialize_alignment(canonicalize(al.rows, columns)) == want
+    shuffled = data.draw(st.permutations(columns))
+    assert serialize_alignment(canonicalize(al.rows, shuffled)) == want
