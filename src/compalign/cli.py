@@ -28,7 +28,7 @@ from .grammar_io import (
     save_grammar,
 )
 from .learner import LearnParams, learn, union_grammar
-from .model import Grammar, validate_grammar
+from .model import Grammar, require_at_least, validate_grammar
 from .neural import InhibitionNetwork, NeuralParams
 from .render import render
 from .runtime import MatchIndex
@@ -123,6 +123,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
 
 
 def _cmd_neural(args: argparse.Namespace) -> int:
+    require_at_least(0, steps=args.steps)
     grammar = _load(load_grammar, args.grammar, "grammar")
     inputs = _load_new(args.input)
     params = NeuralParams(

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
-from .matcher import Chain, SearchBudget, match_alignment
+from .matcher import Chain, SearchBudget, match_alignment, place
 from .model import (
     AlignmentError,
     Grammar,
@@ -88,7 +88,10 @@ def merge_chain(
     """Attach ``old`` as a new row along a match chain.
 
     Chain elements are (slot index, target position) pairs as produced
-    by the matcher.  Returns None when the chain is not a legal match.
+    by the matcher.  Returns None when the chain is not a legal match:
+    a step leaves the slots or the pattern, goes back in the pattern,
+    pairs unequal texts or breaks ``matcher.place``; the row adds no new
+    column; or the columns form a cycle.
     """
     slots = base.slots()
     new_row = len(base.rows)
@@ -98,40 +101,21 @@ def merge_chain(
     fused: dict[int, tuple[int, int]] = {}
     created: list[tuple[tuple[int, int], ...]] = []
     for i, t in chain:
-        if not 0 <= i < len(slots) or not 0 <= t < len(old.symbols):
-            return None
-        if t <= last_t:
+        if not 0 <= i < len(slots) or not last_t < t < len(old.symbols):
             return None
         last_t = t
         slot = slots[i]
         if slot.text != old.symbols[t]:
             return None
+        gap = place(slot, t, old.serial, old.span_of(t), min_gap, caps)
+        if gap is None:
+            return None
+        min_gap = gap
+        caps.update(slot.cells)
         if slot.kind == "col":
-            j = slot.column
-            if j < min_gap or j in fused:
-                return None
-            for r, p in slot.members:
-                if p <= caps.get(r, -1):
-                    return None
-            if old.serial >= 0:
-                for sr, (_, p) in zip(slot.member_serials, slot.members):
-                    if sr == old.serial and p == t:
-                        return None
-            for r, p in slot.members:
-                caps[r] = p
-            min_gap = j + 1
-            fused[j] = (new_row, t)
+            fused[slot.column] = (new_row, t)
         else:
-            gap = max(slot.lo + 1, min_gap)
-            if gap > slot.hi:
-                return None
-            if slot.pos <= caps.get(slot.row, -1):
-                return None
-            if old.serial >= 0 and slot.row_serial == old.serial and slot.pos == t:
-                return None
-            caps[slot.row] = slot.pos
-            min_gap = gap
-            created.append(((slot.row, slot.pos), (new_row, t)))
+            created.append(slot.cells + ((new_row, t),))
     if not created:
         # a row that only joins existing columns explains nothing new;
         # alternative readings of the same cells live in the pool as
@@ -158,10 +142,6 @@ def alignment_probabilities(scores: Sequence[float]) -> tuple[float, ...]:
     weights = [2.0 ** (s - top) for s in scores]
     mass = sum(weights)
     return tuple(w / mass for w in weights)
-
-
-def _pattern_key(p: Pattern) -> str:
-    return f"{p.serial}|{p.id_len}|{p.close_len}|{' '.join(p.symbols)}"
 
 
 def analyse(
@@ -193,7 +173,7 @@ def analyse(
             key = chains = None
             if index is not None:
                 key = index.fingerprint(
-                    gkey, serialize_alignment(alignment), _pattern_key(pat), budget
+                    gkey, serialize_alignment(alignment), pat.serial, budget
                 )
                 chains = index.get(key)
             if chains is None:

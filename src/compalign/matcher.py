@@ -4,7 +4,9 @@ The driving side is the slot view of an alignment (see
 ``MultipleAlignment.slots``).  A match is a chain of (slot, target
 position) pairs with strictly ascending target positions, where every
 slot either is a matched column taken in column order or an unmatched
-cell placed inside its floating interval.  For a bare one-row alignment
+cell placed inside its floating interval.  ``place`` is the one rule for
+whether a step of a chain is legal; the beam search here and
+``engine.merge_chain`` both apply it.  For a bare one-row alignment
 this degenerates into classic subsequence matching, and the beam search
 below is then exact as long as the beam holds one state per driving
 position.
@@ -28,6 +30,50 @@ class SearchBudget:
 
 
 Chain = tuple[tuple[int, int], ...]
+
+
+def place(
+    slot: Slot,
+    t: int,
+    target_serial: int,
+    target_span: Span,
+    min_gap: int,
+    caps: dict[int, int],
+) -> int | None:
+    """The placement rule: may ``slot`` take target position ``t`` next?
+
+    ``min_gap`` is the first column gap still open and ``caps`` the last
+    position placed on each row so far.  Returns the minimum gap for the
+    next placement, or None when the step is illegal.  The caller checks
+    text equality and ascending target positions, and records the
+    slot's cells in ``caps`` after a legal step.
+    """
+    if slot.kind == "col":
+        if slot.column < min_gap:
+            return None
+        gap = slot.column + 1
+    else:
+        gap = max(slot.lo + 1, min_gap)
+        if gap > slot.hi:
+            return None
+        if (
+            slot.cells[0][0] != 0
+            and slot.span is not Span.CONTENTS
+            and target_span is not Span.CONTENTS
+        ):
+            # a fresh two-cell column must touch contents somewhere,
+            # else bare identification symbols unify into columns that
+            # erase their own cost
+            return None
+    for (r, p), serial in zip(slot.cells, slot.serials):
+        if p <= caps.get(r, -1):
+            return None
+        if target_serial >= 0 and serial == target_serial and p == t:
+            # two copies of one stored pattern may not pile up on the
+            # same internal position; that only restates a row without
+            # explaining anything
+            return None
+    return gap
 
 
 def match_slots(
@@ -63,49 +109,12 @@ def match_slots(
             caps = dict(row_caps)
             for i in here:
                 slot = slots[i]
-                if slot.kind == "col":
-                    j = slot.column
-                    if j < min_gap:
-                        continue
-                    ok = True
-                    for r, p in slot.members:
-                        if p <= caps.get(r, -1):
-                            ok = False
-                            break
-                    if ok and tserial >= 0:
-                        # two copies of one stored pattern may not pile
-                        # up on the same internal position; that only
-                        # restates a row without explaining anything
-                        for sr, (_, p) in zip(slot.member_serials, slot.members):
-                            if sr == tserial and p == t:
-                                ok = False
-                                break
-                    if not ok:
-                        continue
-                    new_caps = dict(caps)
-                    for r, p in slot.members:
-                        new_caps[r] = p
-                    new_key = (j + 1, tuple(sorted(new_caps.items())))
-                else:
-                    gap = max(slot.lo + 1, min_gap)
-                    if gap > slot.hi:
-                        continue
-                    if slot.pos <= caps.get(slot.row, -1):
-                        continue
-                    if tserial >= 0 and slot.row_serial == tserial and slot.pos == t:
-                        continue
-                    if (
-                        slot.row != 0
-                        and slot.span is not Span.CONTENTS
-                        and tspan is not Span.CONTENTS
-                    ):
-                        # a fresh two-cell column must touch contents
-                        # somewhere, else bare identification symbols
-                        # unify into columns that erase their own cost
-                        continue
-                    new_caps = dict(caps)
-                    new_caps[slot.row] = slot.pos
-                    new_key = (gap, tuple(sorted(new_caps.items())))
+                gap = place(slot, t, tserial, tspan, min_gap, caps)
+                if gap is None:
+                    continue
+                new_caps = dict(caps)
+                new_caps.update(slot.cells)
+                new_key = (gap, tuple(sorted(new_caps.items())))
                 step_cost = table.cost(sym)
                 for score, chain in entries:
                     additions.append(

@@ -14,6 +14,7 @@ count plus one and F is the sum of all totals.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -211,25 +212,27 @@ class Column:
     members: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
+# the engine builds many alignments and each caches one Slot per cell;
+# __slots__ keeps an instance to its eight fields
+@dataclass(frozen=True, slots=True)
 class Slot:
     """One place in the linear reading of an alignment.
 
-    Matched columns occupy fixed places.  Unmatched cells float between
-    the last column of their row before them (``lo``, -1 when absent)
-    and the next one after (``hi``, the column count when absent); the
-    linear reading pins each one to a definite gap, but matching may use
-    the whole interval.
+    Both kinds have one shape: ``cells`` holds a column's (row, position)
+    members, or the one unmatched cell, and ``serials`` the pattern serial
+    of each cell's row, which is all the placement rule
+    (``matcher.place``) reads.  Matched columns occupy fixed places.
+    Unmatched cells float between the last column of their row before
+    them (``lo``, -1 when absent) and the next one after (``hi``, the
+    column count when absent); the linear reading pins each one to a
+    definite gap, but matching may use the whole interval.
     """
 
     kind: str  # "col" or "cell"
     text: str
     column: int | None = None
-    members: tuple[tuple[int, int], ...] | None = None
-    member_serials: tuple[int, ...] | None = None
-    row: int | None = None
-    pos: int | None = None
-    row_serial: int = -1
+    cells: tuple[tuple[int, int], ...] = ()
+    serials: tuple[int, ...] = ()
     lo: int = -1
     hi: int = 0
     span: Span | None = None
@@ -320,11 +323,9 @@ class MultipleAlignment:
         out: list[Slot] = []
         for g in range(ncols + 1):
             for r, run, lo, hi in sorted(left_runs.get(g, ()), key=lambda t: -t[0]):
-                for p in run:
-                    out.append(self._cell_slot(r, p, lo, hi))
+                out.extend(self._cell_slots(r, run, lo, hi))
             for r, run, lo, hi in sorted(right_runs.get(g, ()), key=lambda t: t[0]):
-                for p in run:
-                    out.append(self._cell_slot(r, p, lo, hi))
+                out.extend(self._cell_slots(r, run, lo, hi))
             if g < ncols:
                 col = self.columns[g]
                 out.append(
@@ -332,10 +333,8 @@ class MultipleAlignment:
                         kind="col",
                         text=self.text_of(col),
                         column=g,
-                        members=col.members,
-                        member_serials=tuple(
-                            self.rows[r].serial for r, _ in col.members
-                        ),
+                        cells=col.members,
+                        serials=tuple(self.rows[r].serial for r, _ in col.members),
                         lo=g,
                         hi=g,
                     )
@@ -344,18 +343,21 @@ class MultipleAlignment:
         object.__setattr__(self, "_slots", result)
         return result
 
-    def _cell_slot(self, r: int, p: int, lo: int, hi: int) -> Slot:
+    def _cell_slots(self, r: int, run: list[int], lo: int, hi: int) -> list[Slot]:
         pat = self.rows[r]
-        return Slot(
-            kind="cell",
-            text=pat.symbols[p],
-            row=r,
-            pos=p,
-            row_serial=pat.serial,
-            lo=lo,
-            hi=hi,
-            span=pat.span_of(p),
-        )
+        serials = (pat.serial,)
+        return [
+            Slot(
+                kind="cell",
+                text=pat.symbols[p],
+                cells=((r, p),),
+                serials=serials,
+                lo=lo,
+                hi=hi,
+                span=pat.span_of(p),
+            )
+            for p in run
+        ]
 
     def encoding_cells(self) -> tuple[tuple[int, int], ...]:
         """Cells whose texts make up the alignment's code.
@@ -368,12 +370,12 @@ class MultipleAlignment:
         for slot in self.slots():
             if slot.kind != "cell":
                 continue
-            r, p = slot.row, slot.pos
-            if r == 0:
+            cell = slot.cells[0]
+            if cell[0] == 0:
                 if slot.text != NEW_SEPARATOR:
-                    out.append((r, p))
+                    out.append(cell)
             elif slot.span is Span.ID:
-                out.append((r, p))
+                out.append(cell)
         return tuple(out)
 
     def encoding_texts(self) -> tuple[str, ...]:
@@ -421,26 +423,22 @@ def canonicalize(
                 succ[a].add(b)
                 indeg[b] += 1
 
-    def key(j: int) -> tuple:
-        members = cols[j]
-        return (
-            tuple(sorted((rows[r].serial, p) for r, p in members)),
-            members,
-        )
-
-    ready = sorted((j for j in range(n) if indeg[j] == 0), key=key)
+    keys = [
+        (tuple(sorted((rows[r].serial, p) for r, p in members)), members)
+        for members in cols
+    ]
+    # keys of valid columns are distinct (a cell sits in one column at
+    # most), so the heap pops ready columns in the order a sorted list would
+    ready = [(keys[j], j) for j in range(n) if indeg[j] == 0]
+    heapq.heapify(ready)
     order: list[int] = []
     while ready:
-        j = ready.pop(0)
+        _, j = heapq.heappop(ready)
         order.append(j)
-        changed = False
         for k in succ[j]:
             indeg[k] -= 1
             if indeg[k] == 0:
-                ready.append(k)
-                changed = True
-        if changed:
-            ready.sort(key=key)
+                heapq.heappush(ready, (keys[k], k))
     if len(order) != n:
         raise AlignmentError("column constraints form a cycle")
 

@@ -74,10 +74,7 @@ def render_rows(alignment: MultipleAlignment) -> str:
     joins = [[] for _ in range(max(0, nrows - 1))]  # connector lines
 
     for x, slot in layout:
-        if slot.kind == "cell":
-            _place(body[slot.row], x, slot.text)
-            continue
-        member_rows = {r for r, _ in slot.members}
+        member_rows = {r for r, _ in slot.cells}
         top, bottom = min(member_rows), max(member_rows)
         for r in range(top, bottom + 1):
             if r in member_rows:
@@ -118,17 +115,14 @@ def render_columns(alignment: MultipleAlignment) -> str:
     lines = [head, ""]
     for slot in alignment.slots():
         line: list[str] = []
-        if slot.kind == "cell":
-            _place(line, tracks[slot.row], slot.text)
-        else:
-            member_rows = sorted(r for r, _ in slot.members)
-            for r in member_rows:
-                _place(line, tracks[r], slot.text)
-            for a, b in zip(member_rows, member_rows[1:]):
-                # one space on each side; track pitch guarantees >= 1 dash
-                start = tracks[a] + len(slot.text) + 1
-                stop = tracks[b] - 2
-                _place(line, start, "-" * (stop - start + 1))
+        member_rows = sorted(r for r, _ in slot.cells)
+        for r in member_rows:
+            _place(line, tracks[r], slot.text)
+        for a, b in zip(member_rows, member_rows[1:]):
+            # one space on each side; track pitch guarantees >= 1 dash
+            start = tracks[a] + len(slot.text) + 1
+            stop = tracks[b] - 2
+            _place(line, start, "-" * (stop - start + 1))
         lines.append("".join(line))
     lines.append("")
     lines.append(head)

@@ -19,6 +19,11 @@ CLASS_PARSE = (
     "--new", str(FIXTURES / "class_new.sp"),
 )
 REPEAT_LEARN = ("learn", "--corpus", str(FIXTURES / "corpus_repeat.sp"))
+NEURAL = (
+    "neural",
+    "--grammar", str(FIXTURES / "class_grammar.sp"),
+    "--input", str(FIXTURES / "neural_input.sp"),
+)
 
 
 @pytest.mark.parametrize(
@@ -29,6 +34,7 @@ REPEAT_LEARN = ("learn", "--corpus", str(FIXTURES / "corpus_repeat.sp"))
         (CLASS_PARSE + ("--workers", "0"), "workers must be at least 1, got 0"),
         (REPEAT_LEARN + ("--grammar-beam", "0"), "grammar_beam must be at least 1, got 0"),
         (REPEAT_LEARN + ("--workers", "0"), "workers must be at least 1, got 0"),
+        (NEURAL + ("--steps", "-5"), "steps must be at least 0, got -5"),
     ],
 )
 def test_bad_parameters_exit_2_with_one_line(argv, message, capsys):

@@ -74,6 +74,15 @@ def _simple_base():
     return MultipleAlignment((new_pattern(["a", "b", "c"]),), ())
 
 
+def _two_row_base():
+    """``a b c`` with ``%1 a b #%1`` matched on ``a`` and ``b``."""
+    return merge_chain(
+        _simple_base(),
+        Pattern(("%1", "a", "b", "#%1"), 1, 1, 1, serial=0),
+        ((0, 1), (1, 2)),
+    )
+
+
 def test_merge_attaches_row_and_validates():
     old = Pattern(("%1", "a", "b", "#%1"), 1, 1, 1, serial=0)
     merged = merge_chain(_simple_base(), old, ((0, 1), (1, 2)))
@@ -91,11 +100,7 @@ def test_merge_rejects_text_mismatch_and_crossing():
 
 
 def test_merge_chain_fuses_shared_columns():
-    base = merge_chain(
-        _simple_base(),
-        Pattern(("%1", "a", "b", "#%1"), 1, 1, 1, serial=0),
-        ((0, 1), (1, 2)),
-    )
+    base = _two_row_base()
     slots = base.slots()
     a_slot = next(i for i, s in enumerate(slots) if s.kind == "col" and s.text == "a")
     c_slot = next(i for i, s in enumerate(slots) if s.kind == "cell" and s.text == "c")
@@ -113,15 +118,24 @@ def test_merge_chain_fuses_shared_columns():
 def test_merge_chain_rejects_column_only_rows():
     # a row whose every cell lands in an existing column explains nothing
     # new, so the engine refuses to build it
-    base = merge_chain(
-        _simple_base(),
-        Pattern(("%1", "a", "b", "#%1"), 1, 1, 1, serial=0),
-        ((0, 1), (1, 2)),
-    )
+    base = _two_row_base()
     slots = base.slots()
     a_slot = next(i for i, s in enumerate(slots) if s.kind == "col" and s.text == "a")
     second = Pattern(("%2", "a", "#%2"), 1, 1, 1, serial=1)
     assert merge_chain(base, second, ((a_slot, 1),)) is None
+
+
+def test_merge_chain_rejects_a_fresh_column_without_contents():
+    # two identification cells unified into a fresh column touch no
+    # contents, so they would erase their own citation cost
+    base = _two_row_base()
+    slots = base.slots()
+    id_slot = next(i for i, s in enumerate(slots) if s.text == "%1")
+    bare_id = Pattern(("%1", "c", "#%1"), 1, 1, 1, serial=1)
+    assert merge_chain(base, bare_id, ((id_slot, 0),)) is None
+    # the same cell may pair with the contents of the new row
+    cites = Pattern(("%2", "%1", "#%2"), 1, 1, 1, serial=1)
+    assert merge_chain(base, cites, ((id_slot, 1),)) is not None
 
 
 # --- exhaustive oracle (reduction lives in conftest, validated here) ---

@@ -19,6 +19,7 @@ from compalign import (
     match_alignment,
     new_pattern,
 )
+from compalign.matcher import place
 
 from conftest import random_micro_instance
 
@@ -148,6 +149,32 @@ def test_no_shared_symbols_yields_nothing(data):
     body = data.draw(st.lists(st.sampled_from(free), min_size=1, max_size=6))
     target = Pattern(("%9", *body, "#%9"), 1, 1, 1, serial=0)
     assert match_alignment(al, target, grammar.table, SearchBudget()) == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_matched_chains_replay_through_place(seed):
+    """Every step of every chain the matcher returns obeys ``place``.
+
+    The alignments are the whole final pool of a random micro instance,
+    matched against each pattern of its grammar.
+    """
+    new, grammar = random_micro_instance(random.Random(seed))
+    result = analyse(new, grammar, EngineParams(top_k=100))
+    for scored in result.alignments:
+        slots = scored.alignment.slots()
+        for target in grammar.patterns:
+            for chain, _ in match_alignment(
+                scored.alignment, target, grammar.table, SearchBudget()
+            ):
+                min_gap, caps = 0, {}
+                for i, t in chain:
+                    gap = place(
+                        slots[i], t, target.serial, target.span_of(t), min_gap, caps
+                    )
+                    assert gap is not None
+                    min_gap = gap
+                    caps.update(slots[i].cells)
 
 
 @settings(max_examples=80)
