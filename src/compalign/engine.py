@@ -3,9 +3,10 @@
 An alignment's score is the number of bits of the analysed pattern that
 its columns account for, minus the bits needed to cite the stored
 patterns involved (their unmatched identification symbols).  Stage by
-stage the engine matches every grammar pattern against every alignment
-in the pool, merges the best chains in as new rows, and keeps the top
-of the combined pool until nothing changes.
+stage the engine matches every grammar pattern against each alignment
+that the previous stage added to the pool, merges the best chains in as
+new rows, and keeps the top of the combined pool until a stage adds
+nothing to it.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ class AnalysisResult:
     alignments: tuple[ScoredAlignment, ...]
     probabilities: tuple[float, ...]
     stages_run: int
-    pool_size: int
 
     @property
     def best(self) -> ScoredAlignment:
@@ -154,34 +154,20 @@ def analyse(
 ) -> AnalysisResult:
     """Build the best alignments of the analysed pattern(s) against a grammar.
 
-    ``workers`` must be at least 1; the work always runs in this process.
+    Each stage expands only its frontier: the alignments that entered the
+    pool at the stage before (at stage 1, the bare alignment).  An
+    alignment expanded once can only yield alignments already seen, so no
+    match job runs twice in one call, and the search ends at the first
+    stage whose fresh alignments all fall off the pool.  ``index`` serves
+    match results across calls that share it.  ``workers`` must be at
+    least 1; the work always runs in this process.
     """
     require_at_least(1, workers=workers)
     start = new if isinstance(new, Pattern) else combine_new(tuple(new))
     bare = MultipleAlignment((start,), ())
-    bare.validate()
     table = grammar.table
     budget = SearchBudget(params.beam_width, params.max_alternatives)
     gkey = grammar.fingerprint
-
-    def resolve(
-        jobs: list[tuple[MultipleAlignment, Pattern]],
-    ) -> list[list[tuple[Chain, float]]]:
-        """Chains per job, served from the index when one is given."""
-        results = []
-        for alignment, pat in jobs:
-            key = chains = None
-            if index is not None:
-                key = index.fingerprint(
-                    gkey, serialize_alignment(alignment), pat.serial, budget
-                )
-                chains = index.get(key)
-            if chains is None:
-                chains = match_alignment(alignment, pat, table, budget)
-                if index is not None:
-                    index.put(key, chains)
-            results.append(chains)
-        return results
 
     def sort_key(item: tuple[str, ScoredAlignment]) -> tuple:
         # at equal score prefer the reading that unifies more material
@@ -196,29 +182,33 @@ def analyse(
 
     first = (serialize_alignment(bare), score_alignment(bare, table))
     pool: list[tuple[str, ScoredAlignment]] = [first]
+    frontier = pool
     seen: set[str] = {first[0]}
     stages_run = 0
     for stage in range(1, params.max_stages + 1):
-        fresh: list[tuple[str, ScoredAlignment]] = []
-        jobs = [
-            (entry.alignment, pat)
-            for _, entry in pool
-            for pat in grammar.patterns
-        ]
-        for (alignment, pat), chains in zip(jobs, resolve(jobs)):
-            for chain, _ in chains:
-                merged = merge_chain(alignment, pat, chain)
-                if merged is None:
-                    continue
-                ser = serialize_alignment(merged)
-                if ser in seen:
-                    continue
-                seen.add(ser)
-                fresh.append((ser, score_alignment(merged, table)))
+        fresh: dict[str, ScoredAlignment] = {}
+        for ser, entry in frontier:
+            for pat in grammar.patterns:
+                key = chains = None
+                if index is not None:
+                    key = index.fingerprint(gkey, ser, pat.serial, budget)
+                    chains = index.get(key)
+                if chains is None:
+                    chains = match_alignment(entry.alignment, pat, table, budget)
+                    if index is not None:
+                        index.put(key, chains)
+                for chain, _ in chains:
+                    merged = merge_chain(entry.alignment, pat, chain)
+                    if merged is None:
+                        continue
+                    merged_ser = serialize_alignment(merged)
+                    if merged_ser in seen:
+                        continue
+                    seen.add(merged_ser)
+                    fresh[merged_ser] = score_alignment(merged, table)
         stages_run = stage
-        # the pool is sorted, so a stage with nothing fresh ends here too
-        ranked = sorted(pool + fresh, key=sort_key)
-        combined = ranked[: params.alignment_beam]
+        ranked = sorted([*pool, *fresh.items()], key=sort_key)
+        pool = ranked[: params.alignment_beam]
         if audit is not None:
             audit.record_stage(
                 stage,
@@ -227,13 +217,13 @@ def analyse(
                     for i, (ser, scored) in enumerate(ranked)
                 ],
             )
-        if combined == pool:
+        frontier = [item for item in pool if item[0] in fresh]
+        if not frontier:
             break
-        pool = combined
 
     top = [scored for _, scored in pool[: params.top_k]]
     probs = alignment_probabilities([s.score_bits for s in top])
-    return AnalysisResult(tuple(top), probs, stages_run, len(pool))
+    return AnalysisResult(tuple(top), probs, stages_run)
 
 
 def analyse_serialized(

@@ -91,9 +91,6 @@ class _NameSource:
                 self._taken.add(f"#{name}")
                 return name, f"#{name}"
 
-    def note(self, texts: Iterable[str]) -> None:
-        self._taken.update(texts)
-
 
 def _wrap(symbols: Sequence[str], names: _NameSource) -> Pattern:
     opener, closer = names.fresh()

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from compalign import (
     EngineParams,
     Grammar,
+    MatchIndex,
     MultipleAlignment,
     Pattern,
     SymbolTable,
     alignment_probabilities,
     analyse,
+    analyse_serialized,
     new_pattern,
     serialize_alignment,
 )
@@ -48,6 +50,19 @@ def test_class_figure_structure(class_grammar, class_new):
     assert same_structure(best.alignment, doc)
     # every stored pattern takes part
     assert len(best.alignment.rows) == 5
+
+
+def test_one_analysis_runs_each_match_job_once(request):
+    # each stage expands only the alignments the stage before added, so
+    # a fresh index meets every job of one analysis exactly once
+    for stem in ("parsing", "class"):
+        new = request.getfixturevalue(f"{stem}_new")
+        grammar = request.getfixturevalue(f"{stem}_grammar")
+        index = MatchIndex()
+        indexed = analyse_serialized(new, grammar, index=index)
+        assert index.hits == 0, stem
+        assert index.misses > 0, stem
+        assert indexed == analyse_serialized(new, grammar), stem
 
 
 def test_unmatchable_input_returns_bare_reading():
