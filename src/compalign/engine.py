@@ -3,10 +3,23 @@
 An alignment's score is the number of bits of the analysed pattern that
 its columns account for, minus the bits needed to cite the stored
 patterns involved (their unmatched identification symbols).  Stage by
-stage the engine matches every grammar pattern against each alignment
-that the previous stage added to the pool, merges the best chains in as
-new rows, and keeps the top of the combined pool until a stage adds
-nothing to it.
+stage the engine matches grammar patterns against each alignment that
+the previous stage added to the pool, merges the best chains in as new
+rows, and keeps the top of the combined pool until a stage adds nothing
+to it.
+
+Two skips keep a stage to the work that can change its outcome, and
+both are exact:
+
+- A pattern is matched only when it shares a symbol with the alignment
+  (``Grammar.postings``).  The matcher places a step only where the
+  target symbol equals a slot text, so any other pattern yields no
+  chain.
+- Once the pool is full, a chain is merged only when ``chain_gain``
+  says the result can still reach the pool's last score.  That score
+  never falls from one stage to the next, so a candidate below it can
+  never enter the pool.  An audit observer disables this cut, because
+  its stage records list every ranked candidate.
 """
 
 from __future__ import annotations
@@ -20,12 +33,18 @@ from .model import (
     Grammar,
     MultipleAlignment,
     Pattern,
+    Span,
     SymbolTable,
     canonicalize,
     combine_new,
     require_at_least,
     serialize_alignment,
 )
+
+# a looser cut only builds more, so the margin need only exceed the
+# rounding of a float score sum; ties with the pool's last score are
+# then still built
+_CUT_MARGIN_BITS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -80,6 +99,31 @@ def score_alignment(
         if r > 0:
             cited += table.cost(alignment.rows[r].symbols[p])
     return ScoredAlignment(alignment, matched_new - cited)
+
+
+def chain_gain(
+    base: MultipleAlignment, old: Pattern, chain: Chain, table: SymbolTable
+) -> float:
+    """Score change of ``merge_chain(base, old, chain)``, built from nothing.
+
+    A step onto an unmatched cell creates a column: it gains that cell's
+    cost when the cell is in row 0 (newly matched input) or is an
+    identification cell of a stored row (no longer cited).  Every
+    identification position of ``old`` the chain leaves out is cited.
+    Steps onto existing columns move neither term.  Only meaningful for
+    chains that ``merge_chain`` accepts.
+    """
+    slots = base.slots()
+    gain = 0.0
+    for i, _ in chain:
+        slot = slots[i]
+        if slot.kind == "cell" and (slot.cells[0][0] == 0 or slot.span is Span.ID):
+            gain += table.cost(slot.text)
+    matched = {t for _, t in chain}
+    for t in range(old.id_len):
+        if t not in matched:
+            gain -= table.cost(old.symbols[t])
+    return gain
 
 
 def merge_chain(
@@ -158,9 +202,20 @@ def analyse(
     pool at the stage before (at stage 1, the bare alignment).  An
     alignment expanded once can only yield alignments already seen, so no
     match job runs twice in one call, and the search ends at the first
-    stage whose fresh alignments all fall off the pool.  ``index`` serves
-    match results across calls that share it.  ``workers`` must be at
-    least 1; the work always runs in this process.
+    stage whose fresh alignments all fall off the pool.
+
+    A frontier entry is matched only against the patterns that share a
+    symbol with its slots, in grammar order; the others cannot yield a
+    chain.  Once the pool holds ``alignment_beam`` entries, a chain whose
+    merged score (``chain_gain``) falls below the pool's last score is
+    not built: the last score never falls between stages, so that
+    candidate could never enter the pool.  With an ``audit`` observer
+    every candidate is built, so the stage records stay complete; the
+    alignments returned are the same either way.
+
+    ``index`` serves match results across calls that share it; skipped
+    jobs never touch it.  ``workers`` must be at least 1; the work always
+    runs in this process.
     """
     require_at_least(1, workers=workers)
     start = new if isinstance(new, Pattern) else combine_new(tuple(new))
@@ -168,6 +223,7 @@ def analyse(
     table = grammar.table
     budget = SearchBudget(params.beam_width, params.max_alternatives)
     gkey = grammar.fingerprint
+    postings = grammar.postings
 
     def sort_key(item: tuple[str, ScoredAlignment]) -> tuple:
         # at equal score prefer the reading that unifies more material
@@ -187,8 +243,14 @@ def analyse(
     stages_run = 0
     for stage in range(1, params.max_stages + 1):
         fresh: dict[str, ScoredAlignment] = {}
+        floor = None
+        if audit is None and len(pool) == params.alignment_beam:
+            floor = pool[-1][1].score_bits - _CUT_MARGIN_BITS
         for ser, entry in frontier:
-            for pat in grammar.patterns:
+            texts = {slot.text for slot in entry.alignment.slots()}
+            jobs = sorted({k for text in texts for k in postings.get(text, ())})
+            for k in jobs:
+                pat = grammar.patterns[k]
                 key = chains = None
                 if index is not None:
                     key = index.fingerprint(gkey, ser, pat.serial, budget)
@@ -198,6 +260,10 @@ def analyse(
                     if index is not None:
                         index.put(key, chains)
                 for chain, _ in chains:
+                    if floor is not None:
+                        gain = chain_gain(entry.alignment, pat, chain, table)
+                        if entry.score_bits + gain < floor:
+                            continue
                     merged = merge_chain(entry.alignment, pat, chain)
                     if merged is None:
                         continue

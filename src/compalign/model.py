@@ -163,6 +163,18 @@ class Grammar:
         return SymbolTable.from_patterns(self.patterns)
 
     @cached_property
+    def postings(self) -> dict[str, tuple[int, ...]]:
+        """Inverted index: symbol text -> indices of the patterns holding it.
+
+        Indices are in grammar order.  Built on first use, never at load.
+        """
+        found: dict[str, list[int]] = {}
+        for k, p in enumerate(self.patterns):
+            for s in dict.fromkeys(p.symbols):
+                found.setdefault(s, []).append(k)
+        return {s: tuple(ks) for s, ks in found.items()}
+
+    @cached_property
     def fingerprint(self) -> str:
         """Stable text key of the patterns, for match indexes and audit runs."""
         return "\x1f".join(

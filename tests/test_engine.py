@@ -14,14 +14,18 @@ from compalign import (
     MatchIndex,
     MultipleAlignment,
     Pattern,
+    Span,
     SymbolTable,
     alignment_probabilities,
     analyse,
     analyse_serialized,
+    match_alignment,
     new_pattern,
+    score_alignment,
     serialize_alignment,
 )
-from compalign.engine import merge_chain
+from compalign.engine import chain_gain, merge_chain
+from compalign.matcher import SearchBudget
 
 from conftest import (
     GENEROUS_PARAMS,
@@ -153,6 +157,82 @@ def test_merge_chain_rejects_a_fresh_column_without_contents():
     assert merge_chain(base, cites, ((id_slot, 1),)) is not None
 
 
+# --- the pool cut: scores predicted before building ---
+
+
+def _gain_checks(new, grammar, params):
+    """(|base + chain_gain - built score|, unifies a stored ID cell) per merge.
+
+    Covers every accepted merge of every alignment of the final pool.
+    """
+    table = grammar.table
+    budget = SearchBudget(params.beam_width, params.max_alternatives)
+    checks = []
+    for scored in analyse(new, grammar, params).alignments:
+        base = scored.alignment
+        slots = base.slots()
+        for pat in grammar.patterns:
+            for chain, _ in match_alignment(base, pat, table, budget):
+                merged = merge_chain(base, pat, chain)
+                if merged is None:
+                    continue
+                built = score_alignment(merged, table).score_bits
+                predicted = scored.score_bits + chain_gain(base, pat, chain, table)
+                unifies_id = any(
+                    slots[i].kind == "cell"
+                    and slots[i].cells[0][0] > 0
+                    and slots[i].span is Span.ID
+                    for i, _ in chain
+                )
+                checks.append((abs(predicted - built), unifies_id))
+    return checks
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_chain_gain_predicts_the_merged_score(seed):
+    new, grammar = random_micro_instance(random.Random(seed))
+    errors = [e for e, _ in _gain_checks(new, grammar, EngineParams(top_k=100))]
+    assert all(e < 1e-9 for e in errors), max(errors)
+
+
+def test_chain_gain_predicts_merged_scores_that_unify_ids(class_grammar, class_new):
+    # micro instances never put an identification cell into a column;
+    # the full class pool does, so this covers the stored-row ID term
+    checks = _gain_checks(class_new, class_grammar, EngineParams(top_k=100))
+    assert any(unifies_id for _, unifies_id in checks)
+    assert all(e < 1e-9 for e, _ in checks), max(e for e, _ in checks)
+
+
+class _NoOpObserver:
+    """A StageObserver that records nothing; attaching one disables the cut."""
+
+    def record_stage(self, stage, entries):
+        pass
+
+
+def _outcome(result):
+    ranked = [
+        (repr(s.score_bits), serialize_alignment(s.alignment))
+        for s in result.alignments
+    ]
+    return ranked, result.stages_run
+
+
+@pytest.mark.parametrize("beam", [3, 10])
+def test_pool_cut_and_job_skip_change_nothing(request, beam):
+    params = EngineParams(alignment_beam=beam, top_k=beam)
+    inputs = [
+        (request.getfixturevalue(f"{stem}_new"), request.getfixturevalue(f"{stem}_grammar"))
+        for stem in ("parsing", "class")
+    ]
+    inputs += [random_micro_instance(random.Random(seed)) for seed in range(100)]
+    for new, grammar in inputs:
+        cut = analyse(new, grammar, params)
+        uncut = analyse(new, grammar, params, audit=_NoOpObserver())
+        assert _outcome(cut) == _outcome(uncut), new.symbols
+
+
 # --- exhaustive oracle (reduction lives in conftest, validated here) ---
 
 
@@ -186,8 +266,6 @@ def _closure_best(new, grammar, max_rows, cap=6000):
     Bounded by ``max_rows`` old rows; exponential, so callers keep the
     instances tiny.  Exists to validate the coverage reduction above.
     """
-    from compalign import score_alignment
-
     table = grammar.table
     bare = MultipleAlignment((new,), ())
     seen = {serialize_alignment(bare)}

@@ -103,6 +103,22 @@ def test_symbol_table_unseen_and_floor():
     assert table.cost("a") >= 2.0 ** -10
 
 
+def test_postings_list_each_pattern_once_in_grammar_order():
+    g = Grammar.of(
+        [
+            Pattern(("%1", "a", "b", "a", "#%1"), 1, 1, 1),
+            Pattern(("%2", "b", "#%2"), 1, 1, 1),
+            Pattern(("%3", "a", "#%3"), 1, 1, 1),
+        ]
+    )
+    # built on first use, not when the grammar is made
+    assert "postings" not in vars(g)
+    assert g.postings["a"] == (0, 2)
+    assert g.postings["b"] == (0, 1)
+    assert g.postings["#%2"] == (1,)
+    assert "c" not in g.postings
+
+
 def _kitten_alignment():
     new = new_pattern("kittens")
     old = Pattern(("Nr", "5", "k", "i", "t", "t", "e", "n", "#Nr"), 1, 2, 1, serial=0)
