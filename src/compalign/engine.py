@@ -8,18 +8,26 @@ the previous stage added to the pool, merges the best chains in as new
 rows, and keeps the top of the combined pool until a stage adds nothing
 to it.
 
-Two skips keep a stage to the work that can change its outcome, and
-both are exact:
+Three skips keep a stage to the work that can change its outcome, and
+each is exact:
 
-- A pattern is matched only when it shares a symbol with the alignment
-  (``Grammar.postings``).  The matcher places a step only where the
-  target symbol equals a slot text, so any other pattern yields no
-  chain.
-- Once the pool is full, a chain is merged only when ``chain_gain``
-  says the result can still reach the pool's last score.  That score
-  never falls from one stage to the next, so a candidate below it can
-  never enter the pool.  An audit observer disables this cut, because
-  its stage records list every ranked candidate.
+- Postings: a pattern is matched only when it shares a symbol with the
+  alignment (``Grammar.postings``).  The matcher places a step only
+  where the target symbol equals a slot text, so any other pattern
+  yields no chain.
+- Job bound: once the pool is full, a pattern is matched only when
+  ``job_bound`` says some chain of it could still reach the pool's last
+  score.  A chain gains at most the cost of each of its pattern's
+  symbols that can land on a gain cell (``gains_on``), and it always
+  loses the identification symbols whose text the alignment lacks, so
+  no chain of a skipped job would survive the chain cut below.
+- Chain cut: once the pool is full, a chain is merged only when
+  ``chain_gain`` says the result can still reach the pool's last score.
+  That score never falls from one stage to the next, so a candidate
+  below it can never enter the pool.
+
+An audit observer disables both bound tests, because its stage records
+list every ranked candidate.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from .model import (
     Grammar,
     MultipleAlignment,
     Pattern,
+    Slot,
     Span,
     SymbolTable,
     canonicalize,
@@ -101,29 +110,56 @@ def score_alignment(
     return ScoredAlignment(alignment, matched_new - cited)
 
 
+def gains_on(slot: Slot) -> bool:
+    """Does a new column on ``slot`` add the slot's cost to the score?
+
+    It does on an unmatched cell of row 0 (newly matched input) or on an
+    unmatched identification cell of a stored row (no longer cited).
+    """
+    return slot.kind == "cell" and (slot.cells[0][0] == 0 or slot.span is Span.ID)
+
+
 def chain_gain(
     base: MultipleAlignment, old: Pattern, chain: Chain, table: SymbolTable
 ) -> float:
     """Score change of ``merge_chain(base, old, chain)``, built from nothing.
 
-    A step onto an unmatched cell creates a column: it gains that cell's
-    cost when the cell is in row 0 (newly matched input) or is an
-    identification cell of a stored row (no longer cited).  Every
-    identification position of ``old`` the chain leaves out is cited.
-    Steps onto existing columns move neither term.  Only meaningful for
-    chains that ``merge_chain`` accepts.
+    A step onto a gain cell (``gains_on``) creates a column and gains
+    that cell's cost.  Every identification position of ``old`` the
+    chain leaves out is cited.  Steps onto existing columns move neither
+    term.  Only meaningful for chains that ``merge_chain`` accepts.
     """
     slots = base.slots()
     gain = 0.0
     for i, _ in chain:
-        slot = slots[i]
-        if slot.kind == "cell" and (slot.cells[0][0] == 0 or slot.span is Span.ID):
-            gain += table.cost(slot.text)
+        if gains_on(slots[i]):
+            gain += table.cost(slots[i].text)
     matched = {t for _, t in chain}
     for t in range(old.id_len):
         if t not in matched:
             gain -= table.cost(old.symbols[t])
     return gain
+
+
+def job_bound(
+    old: Pattern, gain_texts: set[str], texts: set[str], table: SymbolTable
+) -> float:
+    """Upper bound of ``chain_gain`` over every chain of ``old`` on an alignment.
+
+    ``gain_texts`` holds the texts of the alignment's gain cells and
+    ``texts`` the texts of all its slots.  A chain takes each target
+    position once, so it gains at most the cost of each symbol of
+    ``old`` whose text is on a gain cell; an identification symbol whose
+    text is on no slot cannot be matched, so every chain cites it.
+    """
+    bound = 0.0
+    for s in old.symbols:
+        if s in gain_texts:
+            bound += table.cost(s)
+    for s in old.id_symbols:
+        if s not in texts:
+            bound -= table.cost(s)
+    return bound
 
 
 def merge_chain(
@@ -206,12 +242,16 @@ def analyse(
 
     A frontier entry is matched only against the patterns that share a
     symbol with its slots, in grammar order; the others cannot yield a
-    chain.  Once the pool holds ``alignment_beam`` entries, a chain whose
-    merged score (``chain_gain``) falls below the pool's last score is
-    not built: the last score never falls between stages, so that
-    candidate could never enter the pool.  With an ``audit`` observer
-    every candidate is built, so the stage records stay complete; the
-    alignments returned are the same either way.
+    chain.  Once the pool holds ``alignment_beam`` entries, two bound
+    tests against the pool's last score follow, which never falls
+    between stages: a pattern is not matched when ``job_bound`` shows no
+    chain of it can reach that score, and a chain is not built when its
+    merged score (``chain_gain``) falls below it.  The job test keeps one
+    more ``_CUT_MARGIN_BITS`` of slack than the chain test, so the
+    rounding of its differently ordered sum never skips a job whose
+    chains the chain test would keep.  With an ``audit`` observer every
+    job runs and every candidate is built, so the stage records stay
+    complete; the alignments returned are the same either way.
 
     ``index`` serves match results across calls that share it; skipped
     jobs never touch it.  ``workers`` must be at least 1; the work always
@@ -243,12 +283,23 @@ def analyse(
     stages_run = 0
     for stage in range(1, params.max_stages + 1):
         fresh: dict[str, ScoredAlignment] = {}
-        floor = None
+        floor = job_floor = None
         if audit is None and len(pool) == params.alignment_beam:
             floor = pool[-1][1].score_bits - _CUT_MARGIN_BITS
+            job_floor = floor - _CUT_MARGIN_BITS
         for ser, entry in frontier:
-            texts = {slot.text for slot in entry.alignment.slots()}
+            slots = entry.alignment.slots()
+            texts = {slot.text for slot in slots}
             jobs = sorted({k for text in texts for k in postings.get(text, ())})
+            if floor is not None:
+                gain_texts = {slot.text for slot in slots if gains_on(slot)}
+                jobs = [
+                    k
+                    for k in jobs
+                    if entry.score_bits
+                    + job_bound(grammar.patterns[k], gain_texts, texts, table)
+                    >= job_floor
+                ]
             for k in jobs:
                 pat = grammar.patterns[k]
                 key = chains = None

@@ -291,20 +291,17 @@ class MultipleAlignment:
                     raise AlignmentError("columns cross")
                 last_pos[r] = p
 
-    def slots(self) -> tuple[Slot, ...]:
-        """Linear reading of the alignment, cached per instance.
+    def _reading(self) -> list[int | tuple[int, list[int], int, int]]:
+        """Column indices and unmatched runs ``(row, positions, lo, hi)`` in slot order.
 
-        Column slots appear in column order.  Within a gap, runs that
-        hang off a column on their left come first in descending row
-        order, then runs that lead up to their row's first column in
-        ascending row order.  This keeps closing symbols tight against
-        the material they close and identification symbols tight before
-        the material they announce.
+        This is the one slot-order rule; ``slots`` and ``encoding_cells``
+        both read it.  Columns appear in column order.  Within a gap,
+        runs that hang off a column on their left come first in
+        descending row order, then runs that lead up to their row's first
+        column in ascending row order.  This keeps closing symbols tight
+        against the material they close and identification symbols tight
+        before the material they announce.
         """
-        cached = getattr(self, "_slots", None)
-        if cached is not None:
-            return cached
-
         ncols = len(self.columns)
         where: dict[tuple[int, int], int] = {}
         for j, col in enumerate(self.columns):
@@ -332,25 +329,37 @@ class MultipleAlignment:
                 gap = ncols if lo < 0 else lo + 1
                 left_runs.setdefault(gap, []).append((r, run, lo, ncols))
 
-        out: list[Slot] = []
+        out: list[int | tuple[int, list[int], int, int]] = []
         for g in range(ncols + 1):
-            for r, run, lo, hi in sorted(left_runs.get(g, ()), key=lambda t: -t[0]):
-                out.extend(self._cell_slots(r, run, lo, hi))
-            for r, run, lo, hi in sorted(right_runs.get(g, ()), key=lambda t: t[0]):
-                out.extend(self._cell_slots(r, run, lo, hi))
+            out.extend(sorted(left_runs.get(g, ()), key=lambda t: -t[0]))
+            out.extend(sorted(right_runs.get(g, ()), key=lambda t: t[0]))
             if g < ncols:
-                col = self.columns[g]
-                out.append(
-                    Slot(
-                        kind="col",
-                        text=self.text_of(col),
-                        column=g,
-                        cells=col.members,
-                        serials=tuple(self.rows[r].serial for r, _ in col.members),
-                        lo=g,
-                        hi=g,
-                    )
+                out.append(g)
+        return out
+
+    def slots(self) -> tuple[Slot, ...]:
+        """Linear reading of the alignment (see ``_reading``), cached per instance."""
+        cached = getattr(self, "_slots", None)
+        if cached is not None:
+            return cached
+
+        out: list[Slot] = []
+        for item in self._reading():
+            if isinstance(item, tuple):
+                out.extend(self._cell_slots(*item))
+                continue
+            col = self.columns[item]
+            out.append(
+                Slot(
+                    kind="col",
+                    text=self.text_of(col),
+                    column=item,
+                    cells=col.members,
+                    serials=tuple(self.rows[r].serial for r, _ in col.members),
+                    lo=item,
+                    hi=item,
                 )
+            )
         result = tuple(out)
         object.__setattr__(self, "_slots", result)
         return result
@@ -372,22 +381,23 @@ class MultipleAlignment:
         ]
 
     def encoding_cells(self) -> tuple[tuple[int, int], ...]:
-        """Cells whose texts make up the alignment's code.
+        """Cells whose texts make up the alignment's code, in slot order.
 
         Unmatched symbols of row 0 stay in the code, except separators.
         For stored rows only unmatched identification symbols count;
-        closing symbols never do, matched or not.
+        closing symbols never do, matched or not.  Reads the unmatched
+        runs directly, so scoring builds no slot view.
         """
         out: list[tuple[int, int]] = []
-        for slot in self.slots():
-            if slot.kind != "cell":
+        for item in self._reading():
+            if not isinstance(item, tuple):
                 continue
-            cell = slot.cells[0]
-            if cell[0] == 0:
-                if slot.text != NEW_SEPARATOR:
-                    out.append(cell)
-            elif slot.span is Span.ID:
-                out.append(cell)
+            r, run, _, _ = item
+            pat = self.rows[r]
+            if r == 0:
+                out.extend((r, p) for p in run if pat.symbols[p] != NEW_SEPARATOR)
+            else:
+                out.extend((r, p) for p in run if p < pat.id_len)
         return tuple(out)
 
     def encoding_texts(self) -> tuple[str, ...]:

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compalign import (
     AuditTrail,
@@ -16,6 +19,8 @@ from compalign import (
     write_audit,
 )
 from compalign.audit import read_stage_file
+
+from conftest import random_micro_instance
 
 
 def _trail_for(new, grammar, workers=1, index=None) -> AuditTrail:
@@ -80,6 +85,15 @@ def test_trail_records_the_stage_that_ends_the_search(stem, request):
         request.getfixturevalue(f"{stem}_grammar"),
         audit=trail,
     )
+    assert trail.stages == list(range(1, result.stages_run + 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_trail_ends_at_the_last_stage_run(seed):
+    new, grammar = random_micro_instance(random.Random(seed))
+    trail = AuditTrail(run_id="last-stage")
+    result = analyse(new, grammar, audit=trail)
     assert trail.stages == list(range(1, result.stages_run + 1))
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,8 @@ from compalign import (
     score_alignment,
     serialize_alignment,
 )
-from compalign.engine import chain_gain, merge_chain
+from compalign import engine
+from compalign.engine import chain_gain, gains_on, job_bound, merge_chain
 from compalign.matcher import SearchBudget
 
 from conftest import (
@@ -160,32 +162,50 @@ def test_merge_chain_rejects_a_fresh_column_without_contents():
 # --- the pool cut: scores predicted before building ---
 
 
-def _gain_checks(new, grammar, params):
-    """(|base + chain_gain - built score|, unifies a stored ID cell) per merge.
+def _accepted_merges(new, grammar, params):
+    """(pool entry, pattern, chain, merged) for every chain ``merge_chain`` accepts.
 
-    Covers every accepted merge of every alignment of the final pool.
+    Covers every alignment of the final pool against every grammar pattern.
     """
     table = grammar.table
     budget = SearchBudget(params.beam_width, params.max_alternatives)
-    checks = []
     for scored in analyse(new, grammar, params).alignments:
-        base = scored.alignment
-        slots = base.slots()
         for pat in grammar.patterns:
-            for chain, _ in match_alignment(base, pat, table, budget):
-                merged = merge_chain(base, pat, chain)
-                if merged is None:
-                    continue
-                built = score_alignment(merged, table).score_bits
-                predicted = scored.score_bits + chain_gain(base, pat, chain, table)
-                unifies_id = any(
-                    slots[i].kind == "cell"
-                    and slots[i].cells[0][0] > 0
-                    and slots[i].span is Span.ID
-                    for i, _ in chain
-                )
-                checks.append((abs(predicted - built), unifies_id))
+            for chain, _ in match_alignment(scored.alignment, pat, table, budget):
+                merged = merge_chain(scored.alignment, pat, chain)
+                if merged is not None:
+                    yield scored, pat, chain, merged
+
+
+def _gain_checks(new, grammar, params):
+    """(|base + chain_gain - built score|, unifies a stored ID cell) per merge."""
+    table = grammar.table
+    checks = []
+    for scored, pat, chain, merged in _accepted_merges(new, grammar, params):
+        slots = scored.alignment.slots()
+        built = score_alignment(merged, table).score_bits
+        predicted = scored.score_bits + chain_gain(scored.alignment, pat, chain, table)
+        unifies_id = any(
+            slots[i].kind == "cell"
+            and slots[i].cells[0][0] > 0
+            and slots[i].span is Span.ID
+            for i, _ in chain
+        )
+        checks.append((abs(predicted - built), unifies_id))
     return checks
+
+
+def _bound_slack(new, grammar, params):
+    """``job_bound - chain_gain`` for every accepted merge of the final pool."""
+    table = grammar.table
+    slack = []
+    for scored, pat, chain, _ in _accepted_merges(new, grammar, params):
+        slots = scored.alignment.slots()
+        texts = {slot.text for slot in slots}
+        gain_texts = {slot.text for slot in slots if gains_on(slot)}
+        bound = job_bound(pat, gain_texts, texts, table)
+        slack.append(bound - chain_gain(scored.alignment, pat, chain, table))
+    return slack
 
 
 @settings(max_examples=30, deadline=None)
@@ -204,6 +224,22 @@ def test_chain_gain_predicts_merged_scores_that_unify_ids(class_grammar, class_n
     assert all(e < 1e-9 for e, _ in checks), max(e for e, _ in checks)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_job_bound_is_never_below_a_chain_gain(seed):
+    new, grammar = random_micro_instance(random.Random(seed))
+    slack = _bound_slack(new, grammar, EngineParams(top_k=100))
+    assert all(s > -1e-9 for s in slack), min(slack)
+
+
+def test_job_bound_holds_where_ids_unify(class_grammar, class_new):
+    # the class pool matches identification symbols of the new row, which
+    # the bound must not subtract
+    slack = _bound_slack(class_new, class_grammar, EngineParams(top_k=100))
+    assert slack
+    assert all(s > -1e-9 for s in slack), min(slack)
+
+
 class _NoOpObserver:
     """A StageObserver that records nothing; attaching one disables the cut."""
 
@@ -219,18 +255,48 @@ def _outcome(result):
     return ranked, result.stages_run
 
 
+def _retrieval_instance(seed=5, size=30, length=6):
+    """A seeded store of flat patterns ``Pk | w... | #Pk`` and one stored
+    pattern's contents with one word dropped, as retrieval queries it."""
+    rng = random.Random(seed)
+    words = [f"w{i}" for i in range(size)]
+    store = [rng.sample(words, length) for _ in range(size)]
+    grammar = Grammar.of(
+        Pattern((f"P{k}", *ws, f"#P{k}"), 1, 1, 1) for k, ws in enumerate(store)
+    )
+    query = list(store[rng.randrange(size)])
+    del query[rng.randrange(length)]
+    return new_pattern(query), grammar
+
+
 @pytest.mark.parametrize("beam", [3, 10])
-def test_pool_cut_and_job_skip_change_nothing(request, beam):
+def test_pool_cut_and_job_skip_change_nothing(request, monkeypatch, beam):
     params = EngineParams(alignment_beam=beam, top_k=beam)
     inputs = [
         (request.getfixturevalue(f"{stem}_new"), request.getfixturevalue(f"{stem}_grammar"))
         for stem in ("parsing", "class")
     ]
     inputs += [random_micro_instance(random.Random(seed)) for seed in range(100)]
+    inputs.append(_retrieval_instance())
+    calls = Counter()
+    real_match = engine.match_alignment
+
+    def counted_match(*args):
+        calls["match"] += 1
+        return real_match(*args)
+
+    monkeypatch.setattr(engine, "match_alignment", counted_match)
     for new, grammar in inputs:
+        calls.clear()
         cut = analyse(new, grammar, params)
+        cut_jobs = calls["match"]
+        calls.clear()
         uncut = analyse(new, grammar, params, audit=_NoOpObserver())
+        uncut_jobs = calls["match"]
         assert _outcome(cut) == _outcome(uncut), new.symbols
+        assert cut_jobs <= uncut_jobs, new.symbols
+    # the retrieval input comes last: there the job bound skips jobs
+    assert cut_jobs < uncut_jobs
 
 
 # --- exhaustive oracle (reduction lives in conftest, validated here) ---

@@ -22,6 +22,7 @@ from compalign import (
     analyse,
     combine_new,
     new_pattern,
+    score_alignment,
     serialize_alignment,
     validate_grammar,
 )
@@ -166,6 +167,56 @@ def test_encoding_skips_separator():
     new = combine_new([new_pattern(["a"]), new_pattern(["b"])])
     al = MultipleAlignment((new,), ())
     assert al.encoding_texts() == ("a", "b")
+
+
+def _encoding_cells_from_slots(al):
+    """The encoding rule read off the slot view, as scoring once did."""
+    out = []
+    for slot in al.slots():
+        if slot.kind != "cell":
+            continue
+        cell = slot.cells[0]
+        if cell[0] == 0:
+            if slot.text != NEW_SEPARATOR:
+                out.append(cell)
+        elif slot.span is Span.ID:
+            out.append(cell)
+    return tuple(out)
+
+
+def _score_from_slots(al, table):
+    matched_new = 0.0
+    for col in al.columns:
+        for r, _ in col.members:
+            if r == 0:
+                matched_new += table.cost(al.text_of(col))
+    cited = 0.0
+    for r, p in _encoding_cells_from_slots(al):
+        if r > 0:
+            cited += table.cost(al.rows[r].symbols[p])
+    return matched_new - cited
+
+
+def test_encoding_cells_keep_the_slot_order(request):
+    # scoring reads the unmatched runs without building the slot view;
+    # its float sum depends on the order of the cells, so pin both
+    inputs = [
+        (request.getfixturevalue(f"{stem}_new"), request.getfixturevalue(f"{stem}_grammar"))
+        for stem in ("parsing", "class")
+    ]
+    inputs += [random_micro_instance(random.Random(seed)) for seed in range(100)]
+    checked = 0
+    for new, grammar in inputs:
+        table = grammar.table
+        for scored in analyse(new, grammar, EngineParams(top_k=100)).alignments:
+            al = scored.alignment
+            cells = al.encoding_cells()
+            assert cells == _encoding_cells_from_slots(al), serialize_alignment(al)
+            score = score_alignment(al, table).score_bits
+            assert repr(score) == repr(_score_from_slots(al, table))
+            assert repr(score) == repr(scored.score_bits)
+            checked += 1
+    assert checked > 1000
 
 
 def test_validate_rejects_malformed_columns():
