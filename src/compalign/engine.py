@@ -9,22 +9,26 @@ rows, and keeps the top of the combined pool until a stage adds nothing
 to it.
 
 Three skips keep a stage to the work that can change its outcome, and
-each is exact:
+each is exact.  The two bound tests compare with a floor: the lowest of
+the best ``alignment_beam`` scores ranked so far, counting the fresh
+alignments of the running stage.  It rises as a stage scores better
+alignments, it never exceeds the pool's last score after the stage, and
+that score never falls later.
 
 - Postings: a pattern is matched only when it shares a symbol with the
   alignment (``Grammar.postings``).  The matcher places a step only
   where the target symbol equals a slot text, so any other pattern
   yields no chain.
-- Job bound: once the pool is full, a pattern is matched only when
-  ``job_bound`` says some chain of it could still reach the pool's last
-  score.  A chain gains at most the cost of each of its pattern's
-  symbols that can land on a gain cell (``gains_on``), and it always
-  loses the identification symbols whose text the alignment lacks, so
-  no chain of a skipped job would survive the chain cut below.
-- Chain cut: once the pool is full, a chain is merged only when
-  ``chain_gain`` says the result can still reach the pool's last score.
-  That score never falls from one stage to the next, so a candidate
-  below it can never enter the pool.
+- Job bound: once the floor is set, a pattern is matched only when
+  ``job_bound`` says some chain of it could still reach the floor.  A
+  chain gains at most the cost of each of its pattern's symbols that
+  can land on a gain cell (``gains_on``), and it always loses the
+  identification symbols whose text the alignment lacks, so no chain
+  of a skipped job would survive the chain cut below.
+- Chain cut: once the floor is set, a chain is merged only when
+  ``chain_gain`` says the result can still reach the floor.  A
+  candidate below it can never enter this pool or a later one; it
+  stays unseen, so if it is reached again it is cut again.
 
 An audit observer disables both bound tests, because its stage records
 list every ranked candidate.
@@ -32,6 +36,7 @@ list every ranked candidate.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -242,16 +247,18 @@ def analyse(
 
     A frontier entry is matched only against the patterns that share a
     symbol with its slots, in grammar order; the others cannot yield a
-    chain.  Once the pool holds ``alignment_beam`` entries, two bound
-    tests against the pool's last score follow, which never falls
-    between stages: a pattern is not matched when ``job_bound`` shows no
-    chain of it can reach that score, and a chain is not built when its
-    merged score (``chain_gain``) falls below it.  The job test keeps one
-    more ``_CUT_MARGIN_BITS`` of slack than the chain test, so the
-    rounding of its differently ordered sum never skips a job whose
-    chains the chain test would keep.  With an ``audit`` observer every
-    job runs and every candidate is built, so the stage records stay
-    complete; the alignments returned are the same either way.
+    chain.  Once ``alignment_beam`` scores have been ranked, counting the
+    fresh ones of the running stage, two bound tests against the lowest
+    of the best ``alignment_beam`` of them follow.  That floor is read as
+    it stands at each test and only rises: a pattern is not matched when
+    ``job_bound`` shows no chain of it can reach the floor, and a chain is
+    not built when its merged score (``chain_gain``) falls below it.  The
+    job test keeps one more ``_CUT_MARGIN_BITS`` of slack than the chain
+    test, so the rounding of its differently ordered sum never skips a
+    job whose chains the chain test would keep.  With an ``audit``
+    observer every job runs and every candidate is built, so the stage
+    records stay complete; the alignments returned are the same either
+    way.
 
     ``index`` serves match results across calls that share it; skipped
     jobs never touch it.  ``workers`` must be at least 1; the work always
@@ -280,28 +287,24 @@ def analyse(
     pool: list[tuple[str, ScoredAlignment]] = [first]
     frontier = pool
     seen: set[str] = {first[0]}
+    # min-heap of the best alignment_beam scores ranked so far; between
+    # stages it holds the pool's scores
+    best = [first[1].score_bits]
+    beam = params.alignment_beam
+    floor = None
     stages_run = 0
     for stage in range(1, params.max_stages + 1):
         fresh: dict[str, ScoredAlignment] = {}
-        floor = job_floor = None
-        if audit is None and len(pool) == params.alignment_beam:
-            floor = pool[-1][1].score_bits - _CUT_MARGIN_BITS
-            job_floor = floor - _CUT_MARGIN_BITS
         for ser, entry in frontier:
             slots = entry.alignment.slots()
             texts = {slot.text for slot in slots}
-            jobs = sorted({k for text in texts for k in postings.get(text, ())})
-            if floor is not None:
-                gain_texts = {slot.text for slot in slots if gains_on(slot)}
-                jobs = [
-                    k
-                    for k in jobs
-                    if entry.score_bits
-                    + job_bound(grammar.patterns[k], gain_texts, texts, table)
-                    >= job_floor
-                ]
-            for k in jobs:
+            gain_texts = {slot.text for slot in slots if gains_on(slot)}
+            for k in sorted({k for text in texts for k in postings.get(text, ())}):
                 pat = grammar.patterns[k]
+                if floor is not None:
+                    bound = job_bound(pat, gain_texts, texts, table)
+                    if entry.score_bits + bound < floor - _CUT_MARGIN_BITS:
+                        continue
                 key = chains = None
                 if index is not None:
                     key = index.fingerprint(gkey, ser, pat.serial, budget)
@@ -322,15 +325,21 @@ def analyse(
                     if merged_ser in seen:
                         continue
                     seen.add(merged_ser)
-                    fresh[merged_ser] = score_alignment(merged, table)
+                    fresh[merged_ser] = scored = score_alignment(merged, table)
+                    if len(best) < beam:
+                        heapq.heappush(best, scored.score_bits)
+                    else:
+                        heapq.heappushpop(best, scored.score_bits)
+                    if audit is None and len(best) == beam:
+                        floor = best[0] - _CUT_MARGIN_BITS
         stages_run = stage
         ranked = sorted([*pool, *fresh.items()], key=sort_key)
-        pool = ranked[: params.alignment_beam]
+        pool = ranked[:beam]
         if audit is not None:
             audit.record_stage(
                 stage,
                 [
-                    (scored.score_bits, ser, i < params.alignment_beam)
+                    (scored.score_bits, ser, i < beam)
                     for i, (ser, scored) in enumerate(ranked)
                 ],
             )

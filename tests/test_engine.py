@@ -299,6 +299,29 @@ def test_pool_cut_and_job_skip_change_nothing(request, monkeypatch, beam):
     assert cut_jobs < uncut_jobs
 
 
+
+@pytest.mark.parametrize("beam", [3, 10])
+def test_cut_floor_rises_within_a_stage(monkeypatch, beam):
+    # one stage starts from the bare alignment, a pool of one, so only a
+    # floor that rises as fresh alignments are scored can cut anything
+    new, grammar = _retrieval_instance()
+    params = EngineParams(alignment_beam=beam, top_k=beam, max_stages=1)
+    calls = Counter()
+    real_merge = engine.merge_chain
+
+    def counted_merge(*args):
+        calls["merge"] += 1
+        return real_merge(*args)
+
+    monkeypatch.setattr(engine, "merge_chain", counted_merge)
+    cut = analyse(new, grammar, params)
+    cut_merges = calls["merge"]
+    calls.clear()
+    uncut = analyse(new, grammar, params, audit=_NoOpObserver())
+    assert _outcome(cut) == _outcome(uncut)
+    assert cut_merges < calls["merge"], (cut_merges, calls["merge"])
+
+
 # --- exhaustive oracle (reduction lives in conftest, validated here) ---
 
 

@@ -5,7 +5,9 @@ Each entry is the sha256 of one output at default parameters: the
 ``compalign learn`` on the three ``corpus_*`` fixtures, the dumped
 grammar that ``learn_from_encodings`` finds on the agreement fixtures,
 and every stage file of ``compalign parse --audit`` on the ``class``
-fixture.  The manifest is left out because it holds a timestamp.
+fixture.  The manifest is left out because it holds a timestamp.  Three
+more pin the final pools of ``random_micro_instance`` seeds 0-299, one
+per pool width.
 
 The digests do not depend on ``PYTHONHASHSEED``.  A change that moves
 any of them changes the program's output and has to say so; print the
@@ -17,19 +19,25 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import random
 from pathlib import Path
 
 import pytest
 
 from compalign import (
+    EngineParams,
     LearnParams,
+    analyse,
     analyse_serialized,
     dump_grammar,
     learn_from_encodings,
     load_grammar,
     load_new,
+    serialize_alignment,
 )
 from compalign.cli import main
+
+from conftest import random_micro_instance
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -63,6 +71,20 @@ AUDIT_DIGESTS = {
     "stage_006.tsv": "672f1b07d22cd03491fef88b08a0f0c17750a51f8ff58cc0429fe8d811b084b0",
     "stage_007.tsv": "3b1ea97764bf7985196a49b897b50d4bfe9c82c8257d407c5993c53e8c53ecff",
     "stage_008.tsv": "ec76ea960d4b605a98084dcb2ba20096118e46e4eef3f0bf396e9a9229d0adcc",
+}
+
+# the final pools of random_micro_instance seeds 0-299; a narrow pool
+# fills early, so these pin the pool cut where it acts most
+MICRO_PARAMS = {
+    "top_k=100": EngineParams(top_k=100),
+    "beam=top_k=3": EngineParams(alignment_beam=3, top_k=3),
+    "beam=top_k=10": EngineParams(alignment_beam=10, top_k=10),
+}
+
+MICRO_DIGESTS = {
+    "top_k=100": "bb14e43cc065b0fb2c130f9ce568eeb4de1c12809a6da333b8fabd35c0929591",
+    "beam=top_k=3": "122a7541b88779c52f272f1144d7981420ba9631dc338770102f697669556387",
+    "beam=top_k=10": "5175a3e10c04c0bc8a7932169e3df0b0dfec696d4afd4764c4359d71e07d4ca8",
 }
 
 
@@ -105,6 +127,19 @@ def audit_digests(directory: Path) -> dict[str, str]:
     }
 
 
+def micro_pool_digest(params: EngineParams) -> str:
+    """sha256 over each seed's stage count, pool size, scores and serializations."""
+    h = hashlib.sha256()
+    for seed in range(300):
+        new, grammar = random_micro_instance(random.Random(seed))
+        result = analyse(new, grammar, params)
+        h.update(f"{seed} {result.stages_run} {len(result.alignments)}\n".encode())
+        for scored in result.alignments:
+            ser = serialize_alignment(scored.alignment)
+            h.update(f"{scored.score_bits!r}\n{ser}\n".encode())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_output_bytes_are_pinned(name):
     assert _sha(output_of(name)) == DIGESTS[name]
@@ -112,6 +147,11 @@ def test_output_bytes_are_pinned(name):
 
 def test_audit_stage_files_are_pinned(tmp_path):
     assert audit_digests(tmp_path) == AUDIT_DIGESTS
+
+
+@pytest.mark.parametrize("name", sorted(MICRO_PARAMS))
+def test_micro_pools_are_pinned(name):
+    assert micro_pool_digest(MICRO_PARAMS[name]) == MICRO_DIGESTS[name]
 
 
 if __name__ == "__main__":
@@ -122,3 +162,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for file, digest in audit_digests(Path(tmp)).items():
             print(f"audit/{file}\t{digest}")
+    for name, params in MICRO_PARAMS.items():
+        print(f"micro/{name}\t{micro_pool_digest(params)}")
