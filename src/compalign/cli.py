@@ -211,7 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grammar-beam", type=int, default=10)
     p.add_argument("--encoding-passes", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="processes that price candidate grammars (default: available CPUs)",
+    )
     p.set_defaults(fn=_cmd_learn)
 
     p = sub.add_parser("neural", help="rate-based recognition simulator")

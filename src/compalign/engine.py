@@ -8,7 +8,7 @@ the previous stage added to the pool, merges the best chains in as new
 rows, and keeps the top of the combined pool until a stage adds nothing
 to it.
 
-Three skips keep a stage to the work that can change its outcome, and
+Four skips keep a stage to the work that can change its outcome, and
 each is exact.  The two bound tests compare with a floor: the lowest of
 the best ``alignment_beam`` scores ranked so far, counting the fresh
 alignments of the running stage.  It rises as a stage scores better
@@ -25,6 +25,9 @@ that score never falls later.
   can land on a gain cell (``gains_on``), and it always loses the
   identification symbols whose text the alignment lacks, so no chain
   of a skipped job would survive the chain cut below.
+- Column-only chains: a chain whose every step lands on an existing
+  column adds no column, which ``merge_chain`` rejects, so it is
+  dropped before it is priced or merged.
 - Chain cut: once the floor is set, a chain is merged only when
   ``chain_gain`` says the result can still reach the floor.  A
   candidate below it can never enter this pool or a later one; it
@@ -260,16 +263,16 @@ def analyse(
     records stay complete; the alignments returned are the same either
     way.
 
-    ``index`` serves match results across calls that share it; skipped
-    jobs never touch it.  ``workers`` must be at least 1; the work always
-    runs in this process.
+    ``index`` serves match results across calls that share it, keyed by
+    the grammar's fingerprint; skipped jobs never touch it.  ``workers``
+    must be at least 1; the work always runs in this process.
     """
     require_at_least(1, workers=workers)
     start = new if isinstance(new, Pattern) else combine_new(tuple(new))
     bare = MultipleAlignment((start,), ())
     table = grammar.table
     budget = SearchBudget(params.beam_width, params.max_alternatives)
-    gkey = grammar.fingerprint
+    gkey = grammar.fingerprint if index is not None else None
     postings = grammar.postings
 
     def sort_key(item: tuple[str, ScoredAlignment]) -> tuple:
@@ -314,6 +317,9 @@ def analyse(
                     if index is not None:
                         index.put(key, chains)
                 for chain, _ in chains:
+                    if not any(slots[i].kind == "cell" for i, _ in chain):
+                        # merge_chain rejects a row that adds no column
+                        continue
                     if floor is not None:
                         gain = chain_gain(entry.alignment, pat, chain, table)
                         if entry.score_bits + gain < floor:

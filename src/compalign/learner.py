@@ -12,6 +12,7 @@ for itself.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
@@ -357,16 +358,73 @@ def _pair_alignments(
     return out
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _evaluate_in_worker(args: tuple) -> ScoredGrammar:
+    # the pool pickles this function by name; it finds evaluate_grammar
+    # in the worker, whatever wraps or replaces it there
+    return evaluate_grammar(*args)
+
+
+class _GrammarScorer:
+    """Prices the candidate grammars of one learn call, pass by pass.
+
+    A pass with more than one grammar and room for more than one process
+    is mapped over a process pool, opened at the first such pass and
+    reused for the rest of the call; results come back in grammar order.
+    Any other pass, and every pass in a daemonic pool worker (which may
+    not start processes), is priced inline.  ``close`` ends the pool.
+    """
+
+    def __init__(self, job: tuple, size: int):
+        # corpus, corpus table and engine parameters, shared by every grammar
+        self.job = job
+        self.size = size
+        self.pool = None
+
+    def __call__(self, grammars: list[Grammar]) -> list[ScoredGrammar]:
+        size = min(self.size, len(grammars))
+        if size > 1 and self.pool is None:
+            import multiprocessing
+
+            if multiprocessing.current_process().daemon:
+                self.size = size = 1
+            else:
+                self.pool = multiprocessing.Pool(size)
+        if size <= 1:
+            return [evaluate_grammar(g, *self.job) for g in grammars]
+        jobs = [(g, *self.job) for g in grammars]
+        return self.pool.map(_evaluate_in_worker, jobs)
+
+    def close(self) -> None:
+        if self.pool is not None:
+            self.pool.terminate()
+            self.pool.join()
+
+
 def learn(
     corpus: Sequence[Pattern],
     params: LearnParams = LearnParams(),
-    workers: int = 1,
+    workers: int | None = None,
 ) -> LearnResult:
     """Search for the grammar that best compresses the corpus.
 
-    ``workers`` must be at least 1; the work always runs in this process.
+    Each pass prices its candidate grammars on a pool of
+    min(``workers``, available CPUs, grammars to price) processes, opened
+    once per call and joined before it returns or raises.  ``workers``
+    defaults to the available CPUs; an explicit value must be at least
+    1, and 1 starts no process.  The result does not depend on it.  The
+    encoding level, when asked for, runs after the pool is gone and
+    opens its own.
     """
-    require_at_least(1, workers=workers)
+    if workers is not None:
+        require_at_least(1, workers=workers)
     corpus = tuple(corpus)
     if not corpus:
         raise ValueError("empty corpus")
@@ -381,71 +439,76 @@ def learn(
     )
     pool: list[ScoredGrammar] = [empty]
     passes_run = 0
+    cpus = available_cpus()
+    scorer = _GrammarScorer(
+        (corpus, corpus_table, params.engine),
+        cpus if workers is None else min(workers, cpus),
+    )
+    try:
+        for _ in range(params.passes):
+            passes_run += 1
+            alignment_sources: list[tuple[Grammar, MultipleAlignment]] = []
+            for scored in pool:
+                g = scored.grammar
+                if not g.patterns:
+                    for al in _pair_alignments(corpus, budget):
+                        alignment_sources.append((g, al))
+                else:
+                    for item in corpus:
+                        result = analyse(item, g, params.engine)
+                        for cand in result.alignments[:2]:
+                            if cand.alignment.columns:
+                                alignment_sources.append((g, cand.alignment))
 
-    for _ in range(params.passes):
-        passes_run += 1
-        alignment_sources: list[tuple[Grammar, MultipleAlignment]] = []
-        for scored in pool:
-            g = scored.grammar
-            if not g.patterns:
-                for al in _pair_alignments(corpus, budget):
-                    alignment_sources.append((g, al))
-            else:
+            successors: dict[tuple, Grammar] = {}
+
+            def offer(g: Grammar) -> None:
+                key = _grammar_key(g)
+                if key not in successors:
+                    successors[key] = g
+
+            for scored in pool:
+                base = scored.grammar
                 for item in corpus:
-                    result = analyse(item, g, params.engine)
-                    for cand in result.alignments[:2]:
-                        if cand.alignment.columns:
-                            alignment_sources.append((g, cand.alignment))
+                    inc = incorporate(item, names)
+                    offer(Grammar.of(list(base.patterns) + [inc]))
+            for base, alignment in alignment_sources:
+                cand = candidates_from_alignment(alignment, base, names)
+                for g in _successor_grammars(base, cand):
+                    offer(g)
 
-        successors: dict[tuple, Grammar] = {}
+            limit = params.grammar_beam * 8
+            todo = list(successors.values())[:limit]
+            scored_new = scorer(todo)
 
-        def offer(g: Grammar) -> None:
-            key = _grammar_key(g)
-            if key not in successors:
-                successors[key] = g
-
-        for scored in pool:
-            base = scored.grammar
-            for item in corpus:
-                inc = incorporate(item, names)
-                offer(Grammar.of(list(base.patterns) + [inc]))
-        for base, alignment in alignment_sources:
-            cand = candidates_from_alignment(alignment, base, names)
-            for g in _successor_grammars(base, cand):
-                offer(g)
-
-        limit = params.grammar_beam * 8
-        todo = list(successors.values())[:limit]
-        scored_new = [
-            evaluate_grammar(g, corpus, corpus_table, params.engine)
-            for g in todo
-        ]
-
-        ranked: dict[tuple, ScoredGrammar] = {}
-        for sg in pool + scored_new:
-            key = _grammar_key(sg.grammar)
-            held = ranked.get(key)
-            if held is None or sg.total_bits < held.total_bits:
-                ranked[key] = sg
-        ordered = sorted(
-            ranked.values(), key=lambda sg: (sg.total_bits, _grammar_key(sg.grammar))
-        )
-        next_pool = ordered[: params.grammar_beam]
-        if not any(not sg.grammar.patterns for sg in next_pool):
-            next_pool = next_pool[: params.grammar_beam - 1] + [empty]
-        if [_grammar_key(sg.grammar) for sg in next_pool] == [
-            _grammar_key(sg.grammar) for sg in pool
-        ]:
+            ranked: dict[tuple, ScoredGrammar] = {}
+            for sg in pool + scored_new:
+                key = _grammar_key(sg.grammar)
+                held = ranked.get(key)
+                if held is None or sg.total_bits < held.total_bits:
+                    ranked[key] = sg
+            ordered = sorted(
+                ranked.values(),
+                key=lambda sg: (sg.total_bits, _grammar_key(sg.grammar)),
+            )
+            next_pool = ordered[: params.grammar_beam]
+            if not any(not sg.grammar.patterns for sg in next_pool):
+                next_pool = next_pool[: params.grammar_beam - 1] + [empty]
+            if [_grammar_key(sg.grammar) for sg in next_pool] == [
+                _grammar_key(sg.grammar) for sg in pool
+            ]:
+                pool = next_pool
+                break
             pool = next_pool
-            break
-        pool = next_pool
+    finally:
+        scorer.close()
 
     result = LearnResult(tuple(pool), passes_run)
     if params.encoding_passes > 0 and pool[0].grammar.patterns:
         result = replace(
             result,
             encoding_level=learn_from_encodings(
-                pool[0].grammar, corpus, params
+                pool[0].grammar, corpus, params, workers
             ),
         )
     return result
@@ -462,12 +525,15 @@ def learn_from_encodings(
     grammar: Grammar,
     corpus: Sequence[Pattern],
     params: LearnParams,
+    workers: int | None = None,
 ) -> LearnResult | None:
     """Run a second learning level over the corpus's encodings.
 
     Each corpus pattern is parsed with the given grammar and replaced
     by its code; regularities among the codes then get their own
-    patterns.  Returns None when no usable codes come out.
+    patterns.  Returns None when no usable codes come out.  ``workers``
+    goes to the inner ``learn``, which prices candidate grammars on up
+    to that many processes (default: the available CPUs).
     """
     second: list[Pattern] = []
     for item in corpus:
@@ -480,4 +546,4 @@ def learn_from_encodings(
     if not second:
         return None
     inner = replace(params, passes=params.encoding_passes, encoding_passes=0)
-    return learn(second, inner)
+    return learn(second, inner, workers)

@@ -322,6 +322,29 @@ def test_cut_floor_rises_within_a_stage(monkeypatch, beam):
     assert cut_merges < calls["merge"], (cut_merges, calls["merge"])
 
 
+def test_merge_chain_only_sees_chains_that_add_a_column(request, monkeypatch):
+    # a chain with no step on a cell can only join existing columns,
+    # which merge_chain rejects, so analyse never hands one over
+    inputs = [
+        (request.getfixturevalue(f"{stem}_new"), request.getfixturevalue(f"{stem}_grammar"))
+        for stem in ("class", "parsing")
+    ]
+    inputs.append(_retrieval_instance())
+    real_merge = engine.merge_chain
+    chains = []
+
+    def checked_merge(base, old, chain):
+        slots = base.slots()
+        chains.append([slots[i].kind for i, _ in chain])
+        return real_merge(base, old, chain)
+
+    monkeypatch.setattr(engine, "merge_chain", checked_merge)
+    for new, grammar in inputs:
+        analyse(new, grammar)
+    assert chains
+    assert all("cell" in kinds for kinds in chains)
+
+
 # --- exhaustive oracle (reduction lives in conftest, validated here) ---
 
 

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
+import multiprocessing.pool
+import os
 import random
 
 import pytest
@@ -12,11 +15,13 @@ from compalign import (
     MultipleAlignment,
     Pattern,
     SymbolTable,
+    dump_grammar,
     load_grammar,
     load_new,
     new_pattern,
     union_grammar,
 )
+from compalign import learner
 from compalign.learner import (
     LearnParams,
     _NameSource,
@@ -277,3 +282,79 @@ def test_learn_attaches_encoding_level_when_asked(repeat_corpus):
     assert result.encoding_level is not None
     plain = learn(repeat_corpus)
     assert plain.encoding_level is None
+
+
+# --- the pool that prices each pass's candidate grammars ---
+
+
+def _ranking_text(result):
+    return [(repr(sg.total_bits), dump_grammar(sg.grammar)) for sg in result.ranking]
+
+
+def test_learn_ranking_is_the_same_at_any_workers(suffix_corpus):
+    texts = [_ranking_text(learn(suffix_corpus, workers=w)) for w in (1, 2, None)]
+    assert texts[0] == texts[1] == texts[2]
+    lexicon = load_grammar(FIXTURES / "agreement_lexicon.sp")
+    corpus = load_new(FIXTURES / "agreement_corpus.sp")
+    params = LearnParams(encoding_passes=2)
+    texts = [
+        _ranking_text(learn_from_encodings(lexicon, corpus, params, workers=w))
+        for w in (1, 2, None)
+    ]
+    assert texts[0] == texts[1] == texts[2]
+
+
+def test_learn_opens_one_pool_and_leaves_no_process(suffix_corpus, monkeypatch):
+    opened = []
+
+    class CountedPool(multiprocessing.pool.Pool):
+        def __init__(self, processes, *args, **kwargs):
+            # held here, the pool cannot be collected before learn ends it
+            opened.append((self, processes))
+            super().__init__(processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", CountedPool)
+    monkeypatch.setattr(learner, "available_cpus", lambda: 2)
+    result = learn(suffix_corpus, LearnParams(passes=3), workers=8)
+    assert result.passes_run > 1
+    assert [size for _, size in opened] == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_error_reaches_the_caller_and_no_process_outlives_it(
+    suffix_corpus, monkeypatch
+):
+    parent = os.getpid()
+    real = learner.evaluate_grammar
+
+    def failing(grammar, *args):
+        if os.getpid() != parent:
+            raise RuntimeError("priced in a worker")
+        return real(grammar, *args)
+
+    monkeypatch.setattr(learner, "available_cpus", lambda: 2)
+    monkeypatch.setattr(learner, "evaluate_grammar", failing)
+    with pytest.raises(RuntimeError, match="priced in a worker"):
+        learn(suffix_corpus, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_one_worker_opens_no_pool(repeat_corpus, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool was opened")
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", refuse)
+    monkeypatch.setattr(learner, "available_cpus", lambda: 2)
+    params = LearnParams(encoding_passes=1)
+    result = learn(repeat_corpus, params, workers=1)
+    assert result.encoding_level is not None
+    with pytest.raises(AssertionError, match="a pool was opened"):
+        learn(repeat_corpus, params)
+
+
+def test_learn_inside_a_pool_worker_prices_inline(repeat_corpus, monkeypatch):
+    # a daemonic worker may not start processes of its own
+    monkeypatch.setattr(learner, "available_cpus", lambda: 2)
+    with multiprocessing.Pool(1) as outer:
+        nested = outer.apply_async(learn, (repeat_corpus,)).get(timeout=300)
+    assert _ranking_text(nested) == _ranking_text(learn(repeat_corpus, workers=1))

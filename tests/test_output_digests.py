@@ -2,7 +2,8 @@
 
 Each entry is the sha256 of one output at default parameters: the
 ``analyse_serialized`` text of the two parse fixtures, the stdout of
-``compalign learn`` on the three ``corpus_*`` fixtures, the dumped
+``compalign learn`` on the three ``corpus_*`` fixtures (checked at the
+default ``--workers`` and at ``--workers 1``), the dumped
 grammar that ``learn_from_encodings`` finds on the agreement fixtures,
 and every stage file of ``compalign parse --audit`` on the ``class``
 fixture.  The manifest is left out because it holds a timestamp.  Three
@@ -99,14 +100,23 @@ def _cli_stdout(*argv: str) -> str:
     return out.getvalue()
 
 
-def output_of(name: str) -> str:
+# learn prices its candidate grammars on a process pool unless told to
+# use one worker; its stdout must be the same bytes either way
+CASES = sorted(DIGESTS) + [
+    f"{name} --workers 1" for name in sorted(DIGESTS) if name.startswith("learn/")
+]
+
+
+def output_of(name: str, *learn_flags: str) -> str:
     kind, stem = name.split("/")
     if kind == "analyse_serialized":
         grammar = load_grammar(FIXTURES / f"{stem}_grammar.sp")
         new = load_new(FIXTURES / f"{stem}_new.sp")[0]
         return analyse_serialized(new, grammar)
     if kind == "learn":
-        return _cli_stdout("learn", "--corpus", str(FIXTURES / f"{stem}.sp"))
+        return _cli_stdout(
+            "learn", "--corpus", str(FIXTURES / f"{stem}.sp"), *learn_flags
+        )
     lexicon = load_grammar(FIXTURES / "agreement_lexicon.sp")
     corpus = load_new(FIXTURES / "agreement_corpus.sp")
     result = learn_from_encodings(lexicon, corpus, LearnParams(encoding_passes=2))
@@ -140,9 +150,10 @@ def micro_pool_digest(params: EngineParams) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(DIGESTS))
-def test_output_bytes_are_pinned(name):
-    assert _sha(output_of(name)) == DIGESTS[name]
+@pytest.mark.parametrize("case", CASES)
+def test_output_bytes_are_pinned(case):
+    name, *learn_flags = case.split()
+    assert _sha(output_of(name, *learn_flags)) == DIGESTS[name]
 
 
 def test_audit_stage_files_are_pinned(tmp_path):
