@@ -375,11 +375,35 @@ def _evaluate_in_worker(args: tuple) -> ScoredGrammar:
 class _GrammarScorer:
     """Prices the candidate grammars of one learn call, pass by pass.
 
-    A pass with more than one grammar and room for more than one process
-    is mapped over a process pool, opened at the first such pass and
-    reused for the rest of the call; results come back in grammar order.
-    Any other pass, and every pass in a daemonic pool worker (which may
-    not start processes), is priced inline.  ``close`` ends the pool.
+    Each grammar shape is priced once per call.  A grammar's shape is,
+    per pattern in grammar order, its symbols, frequency and span
+    lengths, with every text the corpus does not hold (the names the
+    learner invents) replaced by the index of its first appearance in
+    the grammar.  A pass prices only the shapes no earlier grammar of
+    the call had, one grammar each in first-seen order, and gives every
+    other grammar its shape's result with its own texts and the priced
+    frequencies put back, field for field what ``evaluate_grammar``
+    returns for it.
+
+    That is exact because two grammars of one shape differ only by a
+    bijection of non-corpus texts, and ``evaluate_grammar`` reads such a
+    text only by equality and by its count in the grammar's own table,
+    both of which the bijection keeps: every cost, float sum and sort
+    key comes out the same.  The one place ``analyse`` orders by text,
+    the serialization tie-break of its pool ranking, is settled at a row
+    serial, a row or column line start or a column line before any
+    symbol text differs, and rows with equal serials print identical
+    lines.  Nothing may read the hash order of texts either, which is
+    why the shape tests also run under two fixed ``PYTHONHASHSEED``s.
+
+    A pass with more than one new shape and room for more than one
+    process is mapped over a process pool, opened at the first such
+    pass from the ``fork`` start method and reused for the rest of the
+    call; results come back in grammar order.  Any other pass is priced
+    inline, as is every pass on a platform without ``fork`` (a
+    ``spawn`` worker re-imports the caller's ``__main__``, which a
+    script read from stdin cannot do) and in a daemonic pool worker
+    (which may not start processes).  ``close`` ends the pool.
     """
 
     def __init__(self, job: tuple, size: int):
@@ -387,16 +411,53 @@ class _GrammarScorer:
         self.job = job
         self.size = size
         self.pool = None
+        self.priced: dict[tuple, ScoredGrammar] = {}
+
+    def shape(self, grammar: Grammar) -> tuple:
+        corpus_texts = self.job[1].totals
+        invented: dict[str, int] = {}
+        return tuple(
+            (
+                tuple(
+                    s if s in corpus_texts else invented.setdefault(s, len(invented))
+                    for s in p.symbols
+                ),
+                p.frequency,
+                p.id_len,
+                p.close_len,
+            )
+            for p in grammar.patterns
+        )
 
     def __call__(self, grammars: list[Grammar]) -> list[ScoredGrammar]:
+        shapes = [self.shape(g) for g in grammars]
+        new: dict[tuple, Grammar] = {}
+        for shape, g in zip(shapes, grammars):
+            if shape not in self.priced:
+                new.setdefault(shape, g)
+        self.priced.update(zip(new, self._price(list(new.values()))))
+        out = []
+        for shape, g in zip(shapes, grammars):
+            rep = self.priced[shape]
+            relabelled = Grammar.of(
+                replace(p, frequency=q.frequency)
+                for p, q in zip(g.patterns, rep.grammar.patterns)
+            )
+            out.append(ScoredGrammar(relabelled, rep.grammar_bits, rep.encoding_bits))
+        return out
+
+    def _price(self, grammars: list[Grammar]) -> list[ScoredGrammar]:
         size = min(self.size, len(grammars))
         if size > 1 and self.pool is None:
             import multiprocessing
 
-            if multiprocessing.current_process().daemon:
+            if (
+                multiprocessing.current_process().daemon
+                or "fork" not in multiprocessing.get_all_start_methods()
+            ):
                 self.size = size = 1
             else:
-                self.pool = multiprocessing.Pool(size)
+                self.pool = multiprocessing.get_context("fork").Pool(size)
         if size <= 1:
             return [evaluate_grammar(g, *self.job) for g in grammars]
         jobs = [(g, *self.job) for g in grammars]
@@ -415,13 +476,16 @@ def learn(
 ) -> LearnResult:
     """Search for the grammar that best compresses the corpus.
 
-    Each pass prices its candidate grammars on a pool of
-    min(``workers``, available CPUs, grammars to price) processes, opened
-    once per call and joined before it returns or raises.  ``workers``
-    defaults to the available CPUs; an explicit value must be at least
-    1, and 1 starts no process.  The result does not depend on it.  The
-    encoding level, when asked for, runs after the pool is gone and
-    opens its own.
+    Each grammar shape (the grammar up to the names the learner
+    invents) is priced once per call; a grammar whose shape an earlier
+    one had gets that result under its own names.  Each pass prices its
+    new shapes on a pool of min(``workers``, available CPUs, new shapes)
+    processes, opened once per call and joined before it returns or
+    raises.  ``workers`` defaults to the available CPUs; an explicit
+    value must be at least 1, and 1 starts no process, nor does a
+    platform without the ``fork`` start method.  The result does not
+    depend on it.  The encoding level, when asked for, runs after the
+    pool is gone and opens its own.
     """
     if workers is not None:
         require_at_least(1, workers=workers)

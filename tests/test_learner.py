@@ -358,3 +358,158 @@ def test_learn_inside_a_pool_worker_prices_inline(repeat_corpus, monkeypatch):
     with multiprocessing.Pool(1) as outer:
         nested = outer.apply_async(learn, (repeat_corpus,)).get(timeout=300)
     assert _ranking_text(nested) == _ranking_text(learn(repeat_corpus, workers=1))
+
+
+def test_learn_without_fork_prices_inline(suffix_corpus, monkeypatch):
+    # a spawn worker re-imports the caller's __main__, which a script
+    # read from stdin cannot do; without fork, learn starts no process
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool was opened")
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing.pool, "Pool", refuse)
+    monkeypatch.setattr(learner, "available_cpus", lambda: 2)
+    result = learn(suffix_corpus, workers=2)
+    assert multiprocessing.active_children() == []
+    monkeypatch.undo()
+    assert _ranking_text(result) == _ranking_text(learn(suffix_corpus, workers=1))
+
+
+# --- each grammar shape priced once ---
+
+
+def _shape(grammar, corpus_texts):
+    """Patterns' fields, with non-corpus texts named by first appearance."""
+    invented = {}
+    return tuple(
+        (
+            tuple(
+                s if s in corpus_texts else invented.setdefault(s, len(invented))
+                for s in p.symbols
+            ),
+            p.frequency,
+            p.id_len,
+            p.close_len,
+        )
+        for p in grammar.patterns
+    )
+
+
+def _fields(scored):
+    return (
+        repr(scored.grammar_bits),
+        repr(scored.encoding_bits),
+        [
+            (p.symbols, p.frequency, p.id_len, p.close_len, p.serial)
+            for p in scored.grammar.patterns
+        ],
+    )
+
+
+def _scorer_calls(monkeypatch, run):
+    """Run ``run()`` at one worker; return each scorer call and each pricing."""
+    real_call = learner._GrammarScorer.__call__
+    real_evaluate = learner.evaluate_grammar
+    calls, priced = [], []
+
+    def call(self, grammars):
+        out = real_call(self, grammars)
+        calls.append((self.job, list(grammars), out))
+        return out
+
+    def evaluate(grammar, corpus, corpus_table, eparams):
+        priced.append((grammar, corpus_table))
+        return real_evaluate(grammar, corpus, corpus_table, eparams)
+
+    monkeypatch.setattr(learner._GrammarScorer, "__call__", call)
+    monkeypatch.setattr(learner, "evaluate_grammar", evaluate)
+    run()
+    monkeypatch.undo()
+    return calls, priced
+
+
+def test_shape_pricing_ignores_the_names_of_invented_texts(suffix_corpus, monkeypatch):
+    # the memo's premise: a grammar priced under a bijective renaming of
+    # its non-corpus texts gives the same bits and frequencies.  This
+    # fails once pricing reads the order or the hash of those texts
+    calls, _ = _scorer_calls(monkeypatch, lambda: learn(suffix_corpus, workers=1))
+    table = SymbolTable.from_patterns(suffix_corpus)
+    grammars = [g for _, gs, _ in calls for g in gs]
+    assert len(grammars) > 50
+    rng = random.Random(4242)
+    for g in grammars:
+        texts = (s for p in g.patterns for s in p.symbols)
+        invented = list(dict.fromkeys(s for s in texts if s not in table.totals))
+        assert invented
+        fresh = [f"n{k}" for k in range(len(invented))]
+        rng.shuffle(fresh)
+        rename = dict(zip(invented, fresh))
+        renamed = Grammar.of(
+            Pattern(
+                tuple(rename.get(s, s) for s in p.symbols),
+                p.frequency,
+                p.id_len,
+                p.close_len,
+            )
+            for p in g.patterns
+        )
+        a = evaluate_grammar(g, suffix_corpus, table, ENGINE)
+        b = evaluate_grammar(renamed, suffix_corpus, table, ENGINE)
+        assert repr(a.grammar_bits) == repr(b.grammar_bits)
+        assert repr(a.encoding_bits) == repr(b.encoding_bits)
+        assert [p.frequency for p in a.grammar.patterns] == [
+            p.frequency for p in b.grammar.patterns
+        ]
+
+
+@pytest.mark.parametrize("case", ["corpus_shared_suffix", "agreement"])
+def test_shape_memo_prices_each_shape_once_and_exactly(case, monkeypatch):
+    if case == "agreement":
+        lexicon = load_grammar(FIXTURES / "agreement_lexicon.sp")
+        corpus = load_new(FIXTURES / "agreement_corpus.sp")
+        params = LearnParams(encoding_passes=2)
+        run = lambda: learn_from_encodings(lexicon, corpus, params, workers=1)
+    else:
+        run = lambda: learn(load_new(FIXTURES / f"{case}.sp"), workers=1)
+    calls, priced = _scorer_calls(monkeypatch, run)
+    # one learn call, so one corpus table behind every pricing
+    (table,) = {id(t): t for _, t in priced}.values()
+    shapes = [_shape(g, table.totals) for g, _ in priced]
+    assert len(shapes) == len(set(shapes))
+    # the empty grammar is priced outside the scorer; the memo serves
+    # some of the others
+    offered = sum(len(gs) for _, gs, _ in calls)
+    assert len(priced) - 1 < offered
+    for job, grammars, out in calls:
+        assert len(out) == len(grammars)
+        for g, got in zip(grammars, out):
+            assert _fields(got) == _fields(evaluate_grammar(g, *job))
+
+
+def test_shape_names_invented_texts_but_keeps_frequencies_and_spans(
+    suffix_corpus, monkeypatch
+):
+    table = SymbolTable.from_patterns(suffix_corpus)
+    scorer = learner._GrammarScorer((suffix_corpus, table, ENGINE), 1)
+    wrap = Pattern(("%1", "r", "u", "n", "s", "#%1"), 1, 1, 1)
+    grammars = [
+        Grammar.of([wrap]),
+        Grammar.of([Pattern(("%7", "r", "u", "n", "s", "#%3"), 1, 1, 1)]),
+        Grammar.of([Pattern(wrap.symbols, 3, 1, 1)]),
+        Grammar.of([Pattern(wrap.symbols, 1, 1, 0)]),
+    ]
+    real = learner.evaluate_grammar
+    priced = []
+
+    def evaluate(grammar, *job):
+        priced.append(grammar)
+        return real(grammar, *job)
+
+    monkeypatch.setattr(learner, "evaluate_grammar", evaluate)
+    out = scorer(grammars)
+    assert [g.patterns[0].symbols for g in priced] == [wrap.symbols] * 3
+    assert _fields(out[1]) == _fields(real(grammars[1], suffix_corpus, table, ENGINE))
+    assert out[1].grammar.patterns[0].symbols[0] == "%7"
+    # a later pass prices nothing it has seen
+    scorer(grammars[::-1])
+    assert len(priced) == 3

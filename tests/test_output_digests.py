@@ -2,10 +2,10 @@
 
 Each entry is the sha256 of one output at default parameters: the
 ``analyse_serialized`` text of the two parse fixtures, the stdout of
-``compalign learn`` on the three ``corpus_*`` fixtures (checked at the
-default ``--workers`` and at ``--workers 1``), the dumped
-grammar that ``learn_from_encodings`` finds on the agreement fixtures,
-and every stage file of ``compalign parse --audit`` on the ``class``
+``compalign learn`` on the three ``corpus_*`` fixtures, the dumped
+grammar that ``learn_from_encodings`` finds on the agreement fixtures
+(each learn output checked at the default ``workers`` and at one), and
+every stage file of ``compalign parse --audit`` on the ``class``
 fixture.  The manifest is left out because it holds a timestamp.  Three
 more pin the final pools of ``random_micro_instance`` seeds 0-299, one
 per pool width.
@@ -101,9 +101,9 @@ def _cli_stdout(*argv: str) -> str:
 
 
 # learn prices its candidate grammars on a process pool unless told to
-# use one worker; its stdout must be the same bytes either way
+# use one worker; its output must be the same bytes either way
 CASES = sorted(DIGESTS) + [
-    f"{name} --workers 1" for name in sorted(DIGESTS) if name.startswith("learn/")
+    f"{name} --workers 1" for name in sorted(DIGESTS) if name.startswith("learn")
 ]
 
 
@@ -119,7 +119,10 @@ def output_of(name: str, *learn_flags: str) -> str:
         )
     lexicon = load_grammar(FIXTURES / "agreement_lexicon.sp")
     corpus = load_new(FIXTURES / "agreement_corpus.sp")
-    result = learn_from_encodings(lexicon, corpus, LearnParams(encoding_passes=2))
+    # the one flag a case carries is --workers N
+    workers = int(learn_flags[-1]) if learn_flags else None
+    params = LearnParams(encoding_passes=2)
+    result = learn_from_encodings(lexicon, corpus, params, workers)
     return dump_grammar(result.best.grammar)
 
 
