@@ -378,23 +378,6 @@ def test_learn_without_fork_prices_inline(suffix_corpus, monkeypatch):
 # --- each grammar shape priced once ---
 
 
-def _shape(grammar, corpus_texts):
-    """Patterns' fields, with non-corpus texts named by first appearance."""
-    invented = {}
-    return tuple(
-        (
-            tuple(
-                s if s in corpus_texts else invented.setdefault(s, len(invented))
-                for s in p.symbols
-            ),
-            p.frequency,
-            p.id_len,
-            p.close_len,
-        )
-        for p in grammar.patterns
-    )
-
-
 def _fields(scored):
     return (
         repr(scored.grammar_bits),
@@ -474,7 +457,9 @@ def test_shape_memo_prices_each_shape_once_and_exactly(case, monkeypatch):
     calls, priced = _scorer_calls(monkeypatch, run)
     # one learn call, so one corpus table behind every pricing
     (table,) = {id(t): t for _, t in priced}.values()
-    shapes = [_shape(g, table.totals) for g, _ in priced]
+    scorer = learner._GrammarScorer(calls[0][0], 1)
+    assert scorer.job[1] is table
+    shapes = [scorer.shape(g) for g, _ in priced]
     assert len(shapes) == len(set(shapes))
     # the empty grammar is priced outside the scorer; the memo serves
     # some of the others
