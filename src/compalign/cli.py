@@ -5,9 +5,10 @@ grammar file, ``learn`` induces a grammar from a corpus, ``neural``
 runs the rate-based recognition simulator, and ``validate`` checks a
 grammar file.
 
-Exit codes: 0 success, 1 domain error (missing file, bad grammar) or a
-closed stdout, 2 usage error or a parameter out of range.  Identical
-invocations print identical bytes; timing-dependent output goes to stderr.
+Exit codes: 0 success, 1 domain error (missing or unreadable file,
+unwritable output, bad grammar) or a closed stdout, 2 usage error or a
+parameter out of range.  Identical invocations print identical bytes;
+timing-dependent output goes to stderr.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 
 from . import __version__
 from .audit import AuditTrail, run_fingerprint
 from .engine import EngineParams, analyse
 from .grammar_io import (
-    FormatError,
     format_pattern,
     load_grammar,
     load_new,
@@ -165,14 +166,9 @@ def _cmd_neural(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        text = open(args.grammar).read()
-    except FileNotFoundError:
-        raise DomainError(f"grammar file not found: {args.grammar}") from None
-    try:
-        numbered = numbered_patterns(text)
-    except FormatError as exc:
-        raise DomainError(f"{args.grammar}: {exc}") from None
+    numbered = _load(
+        lambda path: numbered_patterns(Path(path).read_text()), args.grammar, "grammar"
+    )
     grammar = Grammar.of(p for _, p in numbered)
     labels = [f"line {n}" for n, _ in numbered]
     problems = validate_grammar(grammar, labels)
@@ -252,6 +248,10 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # the reader is gone; keep the flush at exit from raising again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except OSError as exc:
+        # an input path that cannot be read or an output path not written
+        print(exc, file=sys.stderr)
         return 1
 
 

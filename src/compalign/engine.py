@@ -25,13 +25,13 @@ that score never falls later.
   can land on a gain cell (``gains_on``), and it always loses the
   identification symbols whose text the alignment lacks, so no chain
   of a skipped job would survive the chain cut below.
-- Column-only chains: a chain whose every step lands on an existing
-  column adds no column, which ``merge_chain`` rejects, so it is
-  dropped before it is priced or merged.
 - Chain cut: once the floor is set, a chain is merged only when
   ``chain_gain`` says the result can still reach the floor.  A
   candidate below it can never enter this pool or a later one; it
   stays unseen, so if it is reached again it is cut again.
+- Column-only chains: a chain that passes the cut but whose every step
+  lands on an existing column adds no column, which ``merge_chain``
+  rejects, so it is dropped before it is merged.
 
 An audit observer disables both bound tests, because its stage records
 list every ranked candidate.
@@ -43,7 +43,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
-from .matcher import Chain, SearchBudget, match_alignment, place
+from .matcher import Chain, match_alignment, place
 from .model import (
     AlignmentError,
     Grammar,
@@ -66,6 +66,14 @@ _CUT_MARGIN_BITS = 1e-9
 
 @dataclass(frozen=True)
 class EngineParams:
+    """Bounds of one analysis, each at least 1.
+
+    The matcher keeps at most ``beam_width`` search states, and at most
+    ``max_alternatives`` chains per state and per match job.  The pool
+    keeps ``alignment_beam`` alignments; a search runs at most
+    ``max_stages`` stages and returns the best ``top_k`` alignments.
+    """
+
     beam_width: int = 64
     max_alternatives: int = 4
     alignment_beam: int = 100
@@ -264,14 +272,14 @@ def analyse(
     way.
 
     ``index`` serves match results across calls that share it, keyed by
-    the grammar's fingerprint; skipped jobs never touch it.  ``workers``
-    must be at least 1; the work always runs in this process.
+    the grammar's fingerprint and the matcher's two bounds; skipped jobs
+    never touch it.  ``workers`` must be at least 1; the work always
+    runs in this process.
     """
     require_at_least(1, workers=workers)
     start = new if isinstance(new, Pattern) else combine_new(tuple(new))
     bare = MultipleAlignment((start,), ())
     table = grammar.table
-    budget = SearchBudget(params.beam_width, params.max_alternatives)
     gkey = grammar.fingerprint if index is not None else None
     postings = grammar.postings
 
@@ -310,20 +318,22 @@ def analyse(
                         continue
                 key = chains = None
                 if index is not None:
-                    key = index.fingerprint(gkey, ser, pat.serial, budget)
+                    key = index.fingerprint(
+                        gkey, ser, pat.serial, params.beam_width, params.max_alternatives
+                    )
                     chains = index.get(key)
                 if chains is None:
-                    chains = match_alignment(entry.alignment, pat, table, budget)
+                    chains = match_alignment(entry.alignment, pat, table, params)
                     if index is not None:
                         index.put(key, chains)
                 for chain, _ in chains:
-                    if not any(slots[i].kind == "cell" for i, _ in chain):
-                        # merge_chain rejects a row that adds no column
-                        continue
                     if floor is not None:
                         gain = chain_gain(entry.alignment, pat, chain, table)
                         if entry.score_bits + gain < floor:
                             continue
+                    if not any(slots[i].kind == "cell" for i, _ in chain):
+                        # merge_chain rejects a row that adds no column
+                        continue
                     merged = merge_chain(entry.alignment, pat, chain)
                     if merged is None:
                         continue

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .engine import EngineParams, analyse, merge_chain
-from .matcher import SearchBudget, match_alignment
+from .matcher import match_alignment
 from .model import (
     Grammar,
     MultipleAlignment,
@@ -38,7 +38,8 @@ class LearnParams:
     )
 
     def __post_init__(self) -> None:
-        require_at_least(1, grammar_beam=self.grammar_beam)
+        # the pool always holds the empty grammar, so a beam of 1 holds nothing else
+        require_at_least(2, grammar_beam=self.grammar_beam)
         require_at_least(0, passes=self.passes, encoding_passes=self.encoding_passes)
 
 
@@ -335,7 +336,7 @@ def evaluate_grammar(
 
 
 def _pair_alignments(
-    corpus: Sequence[Pattern], budget: SearchBudget
+    corpus: Sequence[Pattern], params: EngineParams
 ) -> list[MultipleAlignment]:
     """Best alignments of each corpus pattern over each other one."""
     table = SymbolTable.from_patterns(corpus)
@@ -347,7 +348,7 @@ def _pair_alignments(
             if i == j:
                 continue
             pseudo = replace(other, id_len=0, close_len=0, serial=-1)
-            for chain, _ in match_alignment(bare, pseudo, table, budget)[:2]:
+            for chain, _ in match_alignment(bare, pseudo, table, params)[:2]:
                 merged = merge_chain(bare, pseudo, chain)
                 if merged is None:
                     continue
@@ -496,7 +497,6 @@ def learn(
     names = _NameSource(
         {s for p in corpus for s in p.symbols}
     )
-    budget = SearchBudget(params.engine.beam_width, params.engine.max_alternatives)
 
     empty = evaluate_grammar(
         Grammar.of(()), corpus, corpus_table, params.engine
@@ -515,7 +515,7 @@ def learn(
             for scored in pool:
                 g = scored.grammar
                 if not g.patterns:
-                    for al in _pair_alignments(corpus, budget):
+                    for al in _pair_alignments(corpus, params.engine):
                         alignment_sources.append((g, al))
                 else:
                     for item in corpus:

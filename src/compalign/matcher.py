@@ -14,20 +14,12 @@ position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING
 
-from .model import MultipleAlignment, Pattern, Slot, Span, SymbolTable, require_at_least
+from .model import MultipleAlignment, Pattern, Slot, Span, SymbolTable
 
-
-@dataclass(frozen=True)
-class SearchBudget:
-    beam_width: int = 256
-    max_alternatives: int = 8
-
-    def __post_init__(self) -> None:
-        require_at_least(1, **vars(self))
-
+if TYPE_CHECKING:
+    from .engine import EngineParams
 
 Chain = tuple[tuple[int, int], ...]
 
@@ -76,18 +68,22 @@ def place(
     return gap
 
 
-def match_slots(
-    slots: Sequence[Slot],
+def match_alignment(
+    alignment: MultipleAlignment,
     target: Pattern,
     table: SymbolTable,
-    budget: SearchBudget,
+    params: EngineParams,
 ) -> list[tuple[Chain, float]]:
-    """Best chains of (slot index, target position) pairs, score-sorted.
+    """Best chains of ``target`` against the slot view of ``alignment``.
 
+    Chains of (slot index, target position) pairs come score-sorted; on
+    a bare one-row alignment a slot index is a position of that row.
     State is (minimum gap for the next placement, per-row position
     ceiling); chains sharing a state are interchangeable for any
-    continuation, so only the best few per state are kept.
+    continuation, so only the best ``params.max_alternatives`` per state
+    are kept, in at most ``params.beam_width`` states.
     """
+    slots = alignment.slots()
     by_text: dict[str, list[int]] = {}
     for i, slot in enumerate(slots):
         by_text.setdefault(slot.text, []).append(i)
@@ -129,31 +125,18 @@ def match_slots(
         for key in {k for k, _, _ in additions}:
             bucket = states[key]
             bucket.sort(key=lambda e: (-e[0], e[1]))
-            del bucket[budget.max_alternatives :]
-        if len(states) > budget.beam_width:
+            del bucket[params.max_alternatives :]
+        if len(states) > params.beam_width:
             ranked = sorted(
                 (k for k in states if k != init_key),
                 key=lambda k: (-states[k][0][0], states[k][0][1]),
             )
-            keep = set(ranked[: budget.beam_width - 1])
+            keep = set(ranked[: params.beam_width - 1])
             keep.add(init_key)
             states = {k: v for k, v in states.items() if k in keep}
 
     ordered = sorted(results.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [(chain, score) for chain, score in ordered[: budget.max_alternatives]]
-
-
-def match_alignment(
-    alignment: MultipleAlignment,
-    target: Pattern,
-    table: SymbolTable,
-    budget: SearchBudget,
-) -> list[tuple[Chain, float]]:
-    """Best chains of ``target`` against the slot view of ``alignment``.
-
-    On a bare one-row alignment a slot index is a position of that row.
-    """
-    return match_slots(alignment.slots(), target, table, budget)
+    return [(chain, score) for chain, score in ordered[: params.max_alternatives]]
 
 
 def brute_force_best_match(

@@ -195,10 +195,8 @@ def candidate_universe(corpus, params):
         candidates_from_alignment,
         incorporate,
     )
-    from compalign.matcher import SearchBudget
 
     names = _NameSource({s for p in corpus for s in p.symbols})
-    budget = SearchBudget(params.engine.beam_width, params.engine.max_alternatives)
     universe: dict[tuple, Pattern] = {}
 
     def offer(p):
@@ -207,7 +205,7 @@ def candidate_universe(corpus, params):
 
     for item in corpus:
         offer(incorporate(item, names))
-    for al in _pair_alignments(corpus, budget):
+    for al in _pair_alignments(corpus, params.engine):
         for p in candidates_from_alignment(al, Grammar.of(()), names).all_patterns():
             offer(p)
     for base in list(universe.values()):

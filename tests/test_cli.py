@@ -1,4 +1,5 @@
-"""Command-line exit codes: bad parameters, a closed stdout, unknown commands."""
+"""Command-line exit codes: bad parameters, unusable paths, a closed stdout,
+unknown commands."""
 
 from __future__ import annotations
 
@@ -32,9 +33,11 @@ NEURAL = (
         (CLASS_PARSE + ("--top", "0"), "top_k must be at least 1, got 0"),
         (CLASS_PARSE + ("--beam", "-1"), "alignment_beam must be at least 1, got -1"),
         (CLASS_PARSE + ("--workers", "0"), "workers must be at least 1, got 0"),
-        (REPEAT_LEARN + ("--grammar-beam", "0"), "grammar_beam must be at least 1, got 0"),
+        (REPEAT_LEARN + ("--grammar-beam", "0"), "grammar_beam must be at least 2, got 0"),
         (REPEAT_LEARN + ("--workers", "0"), "workers must be at least 1, got 0"),
         (NEURAL + ("--steps", "-5"), "steps must be at least 0, got -5"),
+        # a beam of 1 holds only the empty grammar, which the pool always keeps
+        (REPEAT_LEARN + ("--grammar-beam", "1"), "grammar_beam must be at least 2, got 1"),
     ],
 )
 def test_bad_parameters_exit_2_with_one_line(argv, message, capsys):
@@ -42,6 +45,23 @@ def test_bad_parameters_exit_2_with_one_line(argv, message, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == message + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("parse", "--grammar", str(FIXTURES), "--new", str(FIXTURES / "class_new.sp")),
+        ("validate", "--grammar", str(FIXTURES)),
+        CLASS_PARSE + ("--audit", "{tmp}/a_file"),
+        REPEAT_LEARN + ("--workers", "1", "--out", "{tmp}/missing/g.sp"),
+    ],
+    ids=["parse-dir", "validate-dir", "audit-file", "out-missing-dir"],
+)
+def test_unusable_paths_exit_1_with_one_line(argv, tmp_path, capsys):
+    (tmp_path / "a_file").write_text("")
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_bench_is_an_unknown_subcommand(capsys):

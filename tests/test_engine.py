@@ -27,7 +27,6 @@ from compalign import (
 )
 from compalign import engine
 from compalign.engine import chain_gain, gains_on, job_bound, merge_chain
-from compalign.matcher import SearchBudget
 
 from conftest import (
     GENEROUS_PARAMS,
@@ -168,10 +167,9 @@ def _accepted_merges(new, grammar, params):
     Covers every alignment of the final pool against every grammar pattern.
     """
     table = grammar.table
-    budget = SearchBudget(params.beam_width, params.max_alternatives)
     for scored in analyse(new, grammar, params).alignments:
         for pat in grammar.patterns:
-            for chain, _ in match_alignment(scored.alignment, pat, table, budget):
+            for chain, _ in match_alignment(scored.alignment, pat, table, params):
                 merged = merge_chain(scored.alignment, pat, chain)
                 if merged is not None:
                     yield scored, pat, chain, merged

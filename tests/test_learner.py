@@ -31,7 +31,6 @@ from compalign.learner import (
     learn,
     learn_from_encodings,
 )
-from compalign.matcher import SearchBudget
 
 from conftest import FIXTURES, grammar_subset_optimum
 
@@ -125,8 +124,6 @@ def test_no_columns_no_candidates():
 
 
 def test_pair_alignment_suggests_shared_and_residual_wraps(two_sentence_corpus):
-    budget = SearchBudget(ENGINE.beam_width, ENGINE.max_alternatives)
-
     def is_suffix_match(al):
         # both sentences matched on their last four positions
         if len(al.columns) != 4:
@@ -135,7 +132,7 @@ def test_pair_alignment_suggests_shared_and_residual_wraps(two_sentence_corpus):
         return spots == [4, 4, 5, 5, 6, 6, 7, 7]
 
     alignments = [
-        al for al in _pair_alignments(two_sentence_corpus, budget)
+        al for al in _pair_alignments(two_sentence_corpus, ENGINE)
         if is_suffix_match(al)
     ]
     assert alignments, "expected a pair alignment matching the shared suffix"
@@ -214,7 +211,12 @@ def test_learn_rejects_empty_corpus():
 
 @pytest.mark.parametrize(
     "field, value, minimum",
-    [("grammar_beam", 0, 1), ("passes", -1, 0), ("encoding_passes", -1, 0)],
+    [
+        ("grammar_beam", 0, 2),
+        ("grammar_beam", 1, 2),
+        ("passes", -1, 0),
+        ("encoding_passes", -1, 0),
+    ],
 )
 def test_learn_params_reject_out_of_range_values(field, value, minimum):
     with pytest.raises(ValueError, match=f"{field} must be at least {minimum}"):

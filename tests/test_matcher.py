@@ -12,7 +12,6 @@ from compalign import (
     EngineParams,
     MultipleAlignment,
     Pattern,
-    SearchBudget,
     SymbolTable,
     analyse,
     brute_force_best_match,
@@ -22,6 +21,9 @@ from compalign import (
 from compalign.matcher import place
 
 from conftest import random_micro_instance
+
+# a wider matcher search than the engine's default
+WIDE = EngineParams(beam_width=256, max_alternatives=8)
 
 
 def _exhaustive_best(driving: Pattern, target: Pattern, table: SymbolTable) -> float:
@@ -56,9 +58,9 @@ def _random_pattern(rng: random.Random, length: int, alphabet: int) -> Pattern:
     return new_pattern(rng.choice(letters) for _ in range(length))
 
 
-def _match_bare(driving, target, table, budget=SearchBudget()):
+def _match_bare(driving, target, table, params=WIDE):
     """Chains of ``target`` against the bare alignment of ``driving``."""
-    return match_alignment(MultipleAlignment((driving,), ()), target, table, budget)
+    return match_alignment(MultipleAlignment((driving,), ()), target, table, params)
 
 
 def test_brute_force_agrees_with_exhaustive_enumeration():
@@ -92,7 +94,7 @@ def run_random_pair_suite(pairs: int = 500, seed: int = 20260814):
     """
     rng = random.Random(seed)
     table = SymbolTable.from_patterns([])  # uniform costs
-    budget = SearchBudget(beam_width=1000, max_alternatives=4)
+    params = EngineParams(beam_width=1000, max_alternatives=4)
     total = exact = 0
     short_misses = []
     for _ in range(pairs):
@@ -101,7 +103,7 @@ def run_random_pair_suite(pairs: int = 500, seed: int = 20260814):
         a = _random_pattern(rng, la, alphabet)
         b = _random_pattern(rng, lb, alphabet)
         _, optimum = brute_force_best_match(a, b, table)
-        found = _match_bare(a, b, table, budget)
+        found = _match_bare(a, b, table, params)
         got = found[0][1] if found else 0.0
         assert got <= optimum + 1e-9, (a.symbols, b.symbols)
         total += 1
@@ -124,7 +126,9 @@ def test_alternatives_are_sorted_and_bounded():
     table = SymbolTable.from_patterns([])
     a = new_pattern("abcabc")
     b = new_pattern("abc")
-    results = _match_bare(a, b, table, SearchBudget(64, 3))
+    results = _match_bare(
+        a, b, table, EngineParams(beam_width=64, max_alternatives=3)
+    )
     assert 1 <= len(results) <= 3
     scores = [score for _, score in results]
     assert scores == sorted(scores, reverse=True)
@@ -148,7 +152,7 @@ def test_no_shared_symbols_yields_nothing(data):
         return
     body = data.draw(st.lists(st.sampled_from(free), min_size=1, max_size=6))
     target = Pattern(("%9", *body, "#%9"), 1, 1, 1, serial=0)
-    assert match_alignment(al, target, grammar.table, SearchBudget()) == []
+    assert match_alignment(al, target, grammar.table, WIDE) == []
 
 
 @settings(max_examples=30, deadline=None)
@@ -165,7 +169,7 @@ def test_matched_chains_replay_through_place(seed):
         slots = scored.alignment.slots()
         for target in grammar.patterns:
             for chain, _ in match_alignment(
-                scored.alignment, target, grammar.table, SearchBudget()
+                scored.alignment, target, grammar.table, WIDE
             ):
                 min_gap, caps = 0, {}
                 for i, t in chain:
@@ -185,7 +189,9 @@ def test_matched_chains_replay_through_place(seed):
 def test_hit_sequences_are_monotone_and_text_equal(s, t):
     table = SymbolTable.from_patterns([])
     a, b = new_pattern(s), new_pattern(t)
-    for chain, score_bits in _match_bare(a, b, table, SearchBudget(128, 4)):
+    for chain, score_bits in _match_bare(
+        a, b, table, EngineParams(beam_width=128, max_alternatives=4)
+    ):
         last = (-1, -1)
         score = 0.0
         for i, t in chain:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from compalign import MatchIndex, analyse_serialized, learn
+from compalign import EngineParams, MatchIndex, analyse_serialized, learn
 
 
 def test_worker_count_must_be_positive(parsing_grammar, parsing_new):
@@ -73,3 +73,13 @@ def test_analysis_text_is_identical_across_workers_and_cache(
         analyse_serialized(parsing_new, parsing_grammar, index=index) == baseline
     )
     assert index.hits > before  # second pass served from the cache
+
+
+def test_shared_index_keeps_matcher_settings_apart(class_grammar, class_new):
+    # chains found under a narrower matcher search must not serve a
+    # later run with other settings
+    index = MatchIndex()
+    for params in (EngineParams(max_alternatives=1), EngineParams(beam_width=2)):
+        analyse_serialized(class_new, class_grammar, params, index=index)
+    fresh = analyse_serialized(class_new, class_grammar)
+    assert analyse_serialized(class_new, class_grammar, index=index) == fresh
