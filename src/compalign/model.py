@@ -428,47 +428,9 @@ def canonicalize(
     ties break on row-independent keys first so that the same structure
     reached along different merge paths usually serializes identically.
     Rows other than row 0 are then ordered by first column membership.
-
-    The result does not depend on the order of ``columns``, and it is a
-    fixed point: canonicalizing it again returns it unchanged.  One
-    ordering pass gives that unless it broke a tie between two columns
-    by row number, which happens only when a pattern fills two rows; the
-    renumbering can then flip the tie.  In that case the pass is repeated
-    until an alignment recurs, and the least alignment on that cycle (by
-    row serials and symbols, then columns) is returned; every alignment
-    on the cycle reaches the same one.
     Raises AlignmentError when the column constraints form a cycle.
     """
     cols = [tuple(sorted(members)) for members in columns]
-    rows, cols, tied = _order_once(tuple(rows), cols)
-    if tied:
-        # insertion order keeps the passes in the order they were made
-        passes: dict[tuple, tuple] = {}
-        key = _serial_key(rows, cols)
-        while key not in passes:
-            passes[key] = rows, cols
-            rows, cols, _ = _order_once(rows, cols)
-            key = _serial_key(rows, cols)
-        made = list(passes)
-        rows, cols = passes[min(made[made.index(key) :])]
-    aligned = MultipleAlignment(rows, tuple(Column(members) for members in cols))
-    aligned.validate()
-    return aligned
-
-
-def _serial_key(rows: Sequence[Pattern], cols: Sequence[tuple]) -> tuple:
-    """The fields ``serialize_alignment`` prints, as a comparable value."""
-    return tuple((p.serial, p.symbols) for p in rows), tuple(cols)
-
-
-def _order_once(
-    rows: tuple[Pattern, ...], cols: list[tuple[tuple[int, int], ...]]
-) -> tuple[tuple[Pattern, ...], list[tuple[tuple[int, int], ...]], bool]:
-    """One ordering pass of ``canonicalize`` over sorted column members.
-
-    Returns the reordered rows and columns, and whether some ready
-    column was chosen over another of equal row-independent key.
-    """
     n = len(cols)
     succ: list[set[int]] = [set() for _ in range(n)]
     indeg = [0] * n
@@ -492,11 +454,8 @@ def _order_once(
     ready = [(keys[j], j) for j in range(n) if indeg[j] == 0]
     heapq.heapify(ready)
     order: list[int] = []
-    tied = False
     while ready:
-        (shape, _), j = heapq.heappop(ready)
-        if ready and ready[0][0][0] == shape:
-            tied = True
+        _, j = heapq.heappop(ready)
         order.append(j)
         for k in succ[j]:
             indeg[k] -= 1
@@ -509,12 +468,18 @@ def _order_once(
     for rank, j in enumerate(order):
         for r, _ in cols[j]:
             first_col.setdefault(r, rank)
+    old_rows = list(range(len(rows)))
     tail = sorted(
-        range(1, len(rows)),
+        (r for r in old_rows if r != 0),
         key=lambda r: (first_col.get(r, n), rows[r].serial, r),
     )
     new_order = [0] + tail
     remap = {old: new for new, old in enumerate(new_order)}
+
     final_rows = tuple(rows[r] for r in new_order)
-    final_cols = [tuple(sorted((remap[r], p) for r, p in cols[j])) for j in order]
-    return final_rows, final_cols, tied
+    final_cols = tuple(
+        Column(tuple(sorted((remap[r], p) for r, p in cols[j]))) for j in order
+    )
+    aligned = MultipleAlignment(final_rows, final_cols)
+    aligned.validate()
+    return aligned

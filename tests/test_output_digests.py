@@ -67,7 +67,7 @@ AUDIT_DIGESTS = {
     "stage_001.tsv": "a3ccb8893ec20f74a14fae322384fdfef5cf43d22c73eb9d7d64699a265d727f",
     "stage_002.tsv": "3a006393f3ce349fb3a9affdee928c4ccfb8bb0f0ecf22f3dd1d7076f2f26010",
     "stage_003.tsv": "b8e98cbc2a57a16684b9ffa2218d64f649961083d3eb547342f6ee8b7bf4c8a3",
-    "stage_004.tsv": "9243cb1b97c2d4d732748cdfd7221bbbd2b6f4286151230ade84575f94e2809e",
+    "stage_004.tsv": "499406b1ef0ec5addad306a6934e7c251407a3dfa888cbbb9953c3e23c42d4f4",
     "stage_005.tsv": "b0f35de73f4c0a1318d040cf4d605a3c9309cea35ffe91341e99a71e7815e8e0",
     "stage_006.tsv": "672f1b07d22cd03491fef88b08a0f0c17750a51f8ff58cc0429fe8d811b084b0",
     "stage_007.tsv": "3b1ea97764bf7985196a49b897b50d4bfe9c82c8257d407c5993c53e8c53ecff",
@@ -83,7 +83,7 @@ MICRO_PARAMS = {
 }
 
 MICRO_DIGESTS = {
-    "top_k=100": "1796f207ac938e608dd6d46dbf1f8cd1c9e74447e48103ba54d63ced1be69ff3",
+    "top_k=100": "bb14e43cc065b0fb2c130f9ce568eeb4de1c12809a6da333b8fabd35c0929591",
     "beam=top_k=3": "122a7541b88779c52f272f1144d7981420ba9631dc338770102f697669556387",
     "beam=top_k=10": "5175a3e10c04c0bc8a7932169e3df0b0dfec696d4afd4764c4359d71e07d4ca8",
 }
