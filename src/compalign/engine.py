@@ -25,13 +25,13 @@ that score never falls later.
   can land on a gain cell (``gains_on``), and it always loses the
   identification symbols whose text the alignment lacks, so no chain
   of a skipped job would survive the chain cut below.
+- Column-only chains: a chain whose every step lands on an existing
+  column adds no column, which ``merge_chain`` rejects, so it is
+  dropped before it is priced or merged.
 - Chain cut: once the floor is set, a chain is merged only when
   ``chain_gain`` says the result can still reach the floor.  A
   candidate below it can never enter this pool or a later one; it
   stays unseen, so if it is reached again it is cut again.
-- Column-only chains: a chain that passes the cut but whose every step
-  lands on an existing column adds no column, which ``merge_chain``
-  rejects, so it is dropped before it is merged.
 
 An audit observer disables both bound tests, because its stage records
 list every ranked candidate.
@@ -327,13 +327,13 @@ def analyse(
                     if index is not None:
                         index.put(key, chains)
                 for chain, _ in chains:
+                    if not any(slots[i].kind == "cell" for i, _ in chain):
+                        # merge_chain rejects a row that adds no column
+                        continue
                     if floor is not None:
                         gain = chain_gain(entry.alignment, pat, chain, table)
                         if entry.score_bits + gain < floor:
                             continue
-                    if not any(slots[i].kind == "cell" for i, _ in chain):
-                        # merge_chain rejects a row that adds no column
-                        continue
                     merged = merge_chain(entry.alignment, pat, chain)
                     if merged is None:
                         continue
