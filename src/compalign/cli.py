@@ -58,7 +58,6 @@ def _load_new(path: str):
 def _cmd_parse(args: argparse.Namespace) -> int:
     grammar = _load(load_grammar, args.grammar, "grammar")
     news = _load_new(args.new)
-    new = news[0] if len(news) == 1 else news
     params = EngineParams(
         alignment_beam=args.beam,
         top_k=args.top,
@@ -67,13 +66,15 @@ def _cmd_parse(args: argparse.Namespace) -> int:
     index = MatchIndex() if args.index == "on" else None
     trail = None
     if args.audit:
+        # an unusable audit path fails here, before the search
+        os.makedirs(args.audit, exist_ok=True)
         new_key = " ".join(
             s for item in news for s in item.symbols
         )
         rid = run_fingerprint(params, grammar.fingerprint, new_key)
         trail = AuditTrail(run_id=rid, workers=args.workers, index=index)
     result = analyse(
-        new, grammar, params, index=index, audit=trail, workers=args.workers
+        news, grammar, params, index=index, audit=trail, workers=args.workers
     )
     if trail is not None:
         trail.write(
@@ -102,6 +103,13 @@ def _cmd_learn(args: argparse.Namespace) -> int:
         grammar_beam=args.grammar_beam,
         encoding_passes=args.encoding_passes,
     )
+    if args.out:
+        # an unusable output path fails here, before the search
+        out = Path(args.out)
+        if out.is_dir():
+            raise DomainError(f"output path is a directory: {args.out}")
+        if not out.parent.is_dir():
+            raise DomainError(f"output directory not found: {out.parent}")
     result = learn(corpus, params, workers=args.workers)
     best = result.best
     print(

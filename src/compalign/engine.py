@@ -43,7 +43,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
-from .matcher import Chain, match_alignment, place
+from .matcher import Chain, match_alignment
 from .model import (
     AlignmentError,
     Grammar,
@@ -143,7 +143,8 @@ def chain_gain(
     A step onto a gain cell (``gains_on``) creates a column and gains
     that cell's cost.  Every identification position of ``old`` the
     chain leaves out is cited.  Steps onto existing columns move neither
-    term.  Only meaningful for chains that ``merge_chain`` accepts.
+    term.  Only meaningful for the ``match_alignment`` chains that
+    ``merge_chain`` builds into an alignment.
     """
     slots = base.slots()
     gain = 0.0
@@ -183,31 +184,18 @@ def merge_chain(
 ) -> MultipleAlignment | None:
     """Attach ``old`` as a new row along a match chain.
 
-    Chain elements are (slot index, target position) pairs as produced
-    by the matcher.  Returns None when the chain is not a legal match:
-    a step leaves the slots or the pattern, goes back in the pattern,
-    pairs unequal texts or breaks ``matcher.place``; the row adds no new
-    column; or the columns form a cycle.
+    The chain must come from ``match_alignment(base, old, ...)``: its
+    (slot index, target position) steps are legal, which the matcher
+    checks step by step with ``matcher.place`` and is not checked again
+    here.  Returns None when the row adds no new column or the columns
+    form a cycle, the two rules the matcher does not apply.
     """
     slots = base.slots()
     new_row = len(base.rows)
-    min_gap = 0
-    caps: dict[int, int] = {}
-    last_t = -1
     fused: dict[int, tuple[int, int]] = {}
     created: list[tuple[tuple[int, int], ...]] = []
     for i, t in chain:
-        if not 0 <= i < len(slots) or not last_t < t < len(old.symbols):
-            return None
-        last_t = t
         slot = slots[i]
-        if slot.text != old.symbols[t]:
-            return None
-        gap = place(slot, t, old.serial, old.span_of(t), min_gap, caps)
-        if gap is None:
-            return None
-        min_gap = gap
-        caps.update(slot.cells)
         if slot.kind == "col":
             fused[slot.column] = (new_row, t)
         else:

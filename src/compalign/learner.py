@@ -101,11 +101,6 @@ def _wrap(symbols: Sequence[str], names: _NameSource) -> Pattern:
     )
 
 
-def incorporate(pattern: Pattern, names: _NameSource) -> Pattern:
-    """Adopt an analysed pattern wholesale under a fresh identifier."""
-    return _wrap(pattern.symbols, names)
-
-
 def _row_segments(
     alignment: MultipleAlignment, row: int
 ) -> list[tuple[str, list[int]]]:
@@ -231,10 +226,7 @@ def candidates_from_alignment(
             if row_pat.serial >= 0:
                 out.replaced.add(row_pat.serial)
         else:
-            opener, closer = names.fresh()
-            abstract = Pattern(
-                (opener, *pieces, closer), frequency=1, id_len=1, close_len=1
-            )
+            abstract = _wrap(pieces, names)
         add(out.abstracts, abstract)
     return out
 
@@ -508,6 +500,9 @@ def learn(
         (corpus, corpus_table, params.engine),
         cpus if workers is None else min(workers, cpus),
     )
+    # the empty grammar, in the pool at every pass, reads the corpus
+    # aligned with itself, which depends on nothing the passes change
+    pairs = _pair_alignments(corpus, params.engine) if params.passes else []
     try:
         for _ in range(params.passes):
             passes_run += 1
@@ -515,8 +510,7 @@ def learn(
             for scored in pool:
                 g = scored.grammar
                 if not g.patterns:
-                    for al in _pair_alignments(corpus, params.engine):
-                        alignment_sources.append((g, al))
+                    alignment_sources.extend((g, al) for al in pairs)
                 else:
                     for item in corpus:
                         result = analyse(item, g, params.engine)
@@ -534,8 +528,8 @@ def learn(
             for scored in pool:
                 base = scored.grammar
                 for item in corpus:
-                    inc = incorporate(item, names)
-                    offer(Grammar.of(list(base.patterns) + [inc]))
+                    # adopt the corpus pattern wholesale under a fresh name
+                    offer(Grammar.of([*base.patterns, _wrap(item.symbols, names)]))
             for base, alignment in alignment_sources:
                 cand = candidates_from_alignment(alignment, base, names)
                 for g in _successor_grammars(base, cand):

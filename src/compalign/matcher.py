@@ -5,8 +5,9 @@ The driving side is the slot view of an alignment (see
 position) pairs with strictly ascending target positions, where every
 slot either is a matched column taken in column order or an unmatched
 cell placed inside its floating interval.  ``place`` is the one rule for
-whether a step of a chain is legal; the beam search here and
-``engine.merge_chain`` both apply it.  For a bare one-row alignment
+whether a step of a chain is legal, and the beam search here applies it
+to every step, so ``engine.merge_chain`` builds the chains it returns
+without checking them again.  For a bare one-row alignment
 this degenerates into classic subsequence matching, and the beam search
 below is then exact as long as the beam holds one state per driving
 position.

@@ -339,10 +339,10 @@ class MultipleAlignment:
 
     def slots(self) -> tuple[Slot, ...]:
         """Linear reading of the alignment (see ``_reading``), cached per instance."""
-        cached = getattr(self, "_slots", None)
-        if cached is not None:
-            return cached
+        return self._slot_view
 
+    @cached_property
+    def _slot_view(self) -> tuple[Slot, ...]:
         out: list[Slot] = []
         for item in self._reading():
             if isinstance(item, tuple):
@@ -360,9 +360,7 @@ class MultipleAlignment:
                     hi=item,
                 )
             )
-        result = tuple(out)
-        object.__setattr__(self, "_slots", result)
-        return result
+        return tuple(out)
 
     def _cell_slots(self, r: int, run: list[int], lo: int, hi: int) -> list[Slot]:
         pat = self.rows[r]
@@ -406,17 +404,12 @@ class MultipleAlignment:
 
 def serialize_alignment(alignment: MultipleAlignment) -> str:
     """Stable textual form used for deduplication and fingerprints."""
-    cached = getattr(alignment, "_ser", None)
-    if cached is not None:
-        return cached
     lines = []
     for pat in alignment.rows:
         lines.append(f"row {pat.serial} {' '.join(pat.symbols)}")
     for col in alignment.columns:
         lines.append("col " + " ".join(f"{r}:{p}" for r, p in col.members))
-    text = "\n".join(lines)
-    object.__setattr__(alignment, "_ser", text)
-    return text
+    return "\n".join(lines)
 
 
 def canonicalize(

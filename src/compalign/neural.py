@@ -122,7 +122,6 @@ class InhibitionNetwork:
         self._virtual_queue: list[str] = []
         self.recognition_order: list[PatternAssembly] = []
         self.trace: list[dict] | None = [] if trace else None
-        self.steps = 0
 
     def reset(self) -> None:
         for a in self.assemblies:
@@ -131,7 +130,6 @@ class InhibitionNetwork:
         self.recognition_order = []
         if self.trace is not None:
             self.trace = []
-        self.steps = 0
 
     def withdraw(self) -> None:
         """Remove input: assemblies release and rates start relaxing."""
@@ -155,7 +153,6 @@ class InhibitionNetwork:
                 self.recognition_order.append(a)
                 if a.id_symbol is not None:
                     self._virtual_queue.append(a.id_symbol)
-        self.steps += 1
         if self.trace is not None:
             self.trace.append(self.snapshot())
 

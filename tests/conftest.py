@@ -16,6 +16,7 @@ from compalign import (
     load_new,
     new_pattern,
 )
+from compalign.matcher import place
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -67,6 +68,30 @@ def structure_doc(alignment: MultipleAlignment) -> dict:
         members = sorted([names[r], p] for r, p in col.members)
         columns.append({"text": alignment.text_of(col), "members": members})
     return {"rows": names, "columns": columns}
+
+
+def chain_is_legal(base: MultipleAlignment, old: Pattern, chain) -> bool:
+    """Does every step of ``chain`` obey the matcher's step rules?
+
+    Slot indices stay in ``base``'s slot view, target positions ascend
+    inside ``old``, each step pairs equal texts, and ``matcher.place``
+    allows it.  ``engine.merge_chain`` builds a chain without these
+    checks, because ``match_alignment`` applies them as it searches.
+    """
+    slots = base.slots()
+    min_gap, caps, last_t = 0, {}, -1
+    for i, t in chain:
+        if not 0 <= i < len(slots) or not last_t < t < len(old.symbols):
+            return False
+        slot = slots[i]
+        if slot.text != old.symbols[t]:
+            return False
+        gap = place(slot, t, old.serial, old.span_of(t), min_gap, caps)
+        if gap is None:
+            return False
+        min_gap, last_t = gap, t
+        caps.update(slot.cells)
+    return True
 
 
 def same_structure(alignment: MultipleAlignment, golden_doc: dict) -> bool:
@@ -192,8 +217,8 @@ def candidate_universe(corpus, params):
     from compalign.learner import (
         _NameSource,
         _pair_alignments,
+        _wrap,
         candidates_from_alignment,
-        incorporate,
     )
 
     names = _NameSource({s for p in corpus for s in p.symbols})
@@ -204,7 +229,7 @@ def candidate_universe(corpus, params):
         universe.setdefault(c.symbols, c)
 
     for item in corpus:
-        offer(incorporate(item, names))
+        offer(_wrap(item.symbols, names))
     for al in _pair_alignments(corpus, params.engine):
         for p in candidates_from_alignment(al, Grammar.of(()), names).all_patterns():
             offer(p)

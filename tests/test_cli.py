@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from compalign import cli
 from compalign.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -54,13 +55,21 @@ def test_bad_parameters_exit_2_with_one_line(argv, message, capsys):
         ("validate", "--grammar", str(FIXTURES)),
         CLASS_PARSE + ("--audit", "{tmp}/a_file"),
         REPEAT_LEARN + ("--workers", "1", "--out", "{tmp}/missing/g.sp"),
+        REPEAT_LEARN + ("--workers", "1", "--out", "{tmp}"),
     ],
-    ids=["parse-dir", "validate-dir", "audit-file", "out-missing-dir"],
+    ids=["parse-dir", "validate-dir", "audit-file", "out-missing-dir", "out-dir"],
 )
-def test_unusable_paths_exit_1_with_one_line(argv, tmp_path, capsys):
+def test_unusable_paths_exit_1_with_one_line(argv, tmp_path, capsys, monkeypatch):
+    # an unusable path fails before any search or learning runs
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran before the path was checked")
+
+    monkeypatch.setattr(cli, "analyse", no_work)
+    monkeypatch.setattr(cli, "learn", no_work)
     (tmp_path / "a_file").write_text("")
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -30,6 +30,7 @@ from compalign.engine import chain_gain, gains_on, job_bound, merge_chain
 
 from conftest import (
     GENEROUS_PARAMS,
+    chain_is_legal,
     exhaustive_best_score,
     golden,
     random_micro_instance,
@@ -145,17 +146,25 @@ def test_merge_chain_rejects_column_only_rows():
     assert merge_chain(base, second, ((a_slot, 1),)) is None
 
 
-def test_merge_chain_rejects_a_fresh_column_without_contents():
+def test_matcher_opens_no_fresh_column_without_contents():
     # two identification cells unified into a fresh column touch no
-    # contents, so they would erase their own citation cost
+    # contents, so they would erase their own citation cost; the matcher
+    # never takes that step, and merge_chain builds only its chains
     base = _two_row_base()
     slots = base.slots()
     id_slot = next(i for i, s in enumerate(slots) if s.text == "%1")
+    c_slot = next(i for i, s in enumerate(slots) if s.text == "c")
+    table = SymbolTable.from_patterns(base.rows)
+    params = EngineParams()
     bare_id = Pattern(("%1", "c", "#%1"), 1, 1, 1, serial=1)
-    assert merge_chain(base, bare_id, ((id_slot, 0),)) is None
+    assert [c for c, _ in match_alignment(base, bare_id, table, params)] == [
+        ((c_slot, 1),)
+    ]
     # the same cell may pair with the contents of the new row
     cites = Pattern(("%2", "%1", "#%2"), 1, 1, 1, serial=1)
-    assert merge_chain(base, cites, ((id_slot, 1),)) is not None
+    chains = [c for c, _ in match_alignment(base, cites, table, params)]
+    assert chains == [((id_slot, 1),)]
+    assert merge_chain(base, cites, chains[0]) is not None
 
 
 # --- the pool cut: scores predicted before building ---
@@ -371,7 +380,7 @@ def _exhaustive_chains(slots, pattern):
 
 
 def _closure_best(new, grammar, max_rows, cap=6000):
-    """Best score over literal merge enumeration, no beams anywhere.
+    """Best score over literal enumeration of legal merges, no beams anywhere.
 
     Bounded by ``max_rows`` old rows; exponential, so callers keep the
     instances tiny.  Exists to validate the coverage reduction above.
@@ -387,6 +396,9 @@ def _closure_best(new, grammar, max_rows, cap=6000):
             continue
         for pat in grammar.patterns:
             for chain in _exhaustive_chains(al.slots(), pat):
+                # merge_chain trusts its chains to be legal matcher steps
+                if not chain_is_legal(al, pat, chain):
+                    continue
                 merged = merge_chain(al, pat, chain)
                 if merged is None:
                     continue

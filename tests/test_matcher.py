@@ -18,9 +18,9 @@ from compalign import (
     match_alignment,
     new_pattern,
 )
-from compalign.matcher import place
+from compalign import engine
 
-from conftest import random_micro_instance
+from conftest import chain_is_legal, random_micro_instance
 
 # a wider matcher search than the engine's default
 WIDE = EngineParams(beam_width=256, max_alternatives=8)
@@ -158,27 +158,32 @@ def test_no_shared_symbols_yields_nothing(data):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_matched_chains_replay_through_place(seed):
-    """Every step of every chain the matcher returns obeys ``place``.
+    """Every chain the matcher returns passes ``chain_is_legal``.
 
-    The alignments are the whole final pool of a random micro instance,
-    matched against each pattern of its grammar.
+    The chains are those ``analyse`` hands to ``merge_chain`` while it
+    searches a random micro instance, which ``merge_chain`` builds
+    without checking them, and those of the whole final pool matched
+    against each pattern of its grammar.
     """
     new, grammar = random_micro_instance(random.Random(seed))
-    result = analyse(new, grammar, EngineParams(top_k=100))
+    handed = []
+    real_merge = engine.merge_chain
+
+    def recorded_merge(base, old, chain):
+        handed.append((base, old, chain))
+        return real_merge(base, old, chain)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "merge_chain", recorded_merge)
+        result = analyse(new, grammar, EngineParams(top_k=100))
+    for base, old, chain in handed:
+        assert chain_is_legal(base, old, chain), (base, old, chain)
     for scored in result.alignments:
-        slots = scored.alignment.slots()
         for target in grammar.patterns:
             for chain, _ in match_alignment(
                 scored.alignment, target, grammar.table, WIDE
             ):
-                min_gap, caps = 0, {}
-                for i, t in chain:
-                    gap = place(
-                        slots[i], t, target.serial, target.span_of(t), min_gap, caps
-                    )
-                    assert gap is not None
-                    min_gap = gap
-                    caps.update(slots[i].cells)
+                assert chain_is_legal(scored.alignment, target, chain)
 
 
 @settings(max_examples=80)
