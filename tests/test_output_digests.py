@@ -6,9 +6,10 @@ Each entry is the sha256 of one output at default parameters: the
 grammar that ``learn_from_encodings`` finds on the agreement fixtures
 (each learn output checked at the default ``workers`` and at one), and
 every stage file of ``compalign parse --audit`` on the ``class``
-fixture.  The manifest is left out because it holds a timestamp.  Three
-more pin the final pools of ``random_micro_instance`` seeds 0-299, one
-per pool width.
+fixture, at the defaults and with ``--index on --workers 2``.  The
+audit manifest is compared field by field, leaving out its
+``created_at`` timestamp.  Three more pin the final pools of
+``random_micro_instance`` seeds 0-299, one per pool width.
 
 The digests do not depend on ``PYTHONHASHSEED``.  A change that moves
 any of them changes the program's output and has to say so; print the
@@ -20,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import random
 from pathlib import Path
 
@@ -74,6 +76,35 @@ AUDIT_DIGESTS = {
     "stage_008.tsv": "ec76ea960d4b605a98084dcb2ba20096118e46e4eef3f0bf396e9a9229d0adcc",
 }
 
+# the same parse with a match index and two workers: the stage files
+# carry the index counters (stage 1 misses 4, stage 8 misses 1,324) and
+# workers 2
+INDEXED_AUDIT_FLAGS = ("--index", "on", "--workers", "2")
+
+INDEXED_AUDIT_DIGESTS = {
+    "stage_001.tsv": "ca898ffb7298ec0dd62f56dc2ebece65ffdfbdf596afa8739b3acdfcd764e76e",
+    "stage_002.tsv": "11cf7d62906f347fb1ee345dc64aed8d8ee6642bfed683d5f7a1b03bd347a58d",
+    "stage_003.tsv": "ae99479de661dab5643651d743e0ee831760368c7a47eaf62fe7d4148b8b52c1",
+    "stage_004.tsv": "1f56e21ee1a7105a5ac391f242914f2844877c8382851d62854cb87de47c8b89",
+    "stage_005.tsv": "4e986b620743efa0de593febb978674fdab5ba4ab26160ed8cd2cdbdb0840b23",
+    "stage_006.tsv": "536bc8e246732cdcce7eafed9d3aa8a7eee21dee2a4487088355b810d47fe24f",
+    "stage_007.tsv": "c78830568ea5911a082c97d5f1291a00f33d1d326f765790f268f293d1dda28b",
+    "stage_008.tsv": "da7ff41c80aaf26adfa2adf8cdc30eee1485b7766e33905e6f52e63ea0207cb4",
+}
+
+# the class audit's manifest without created_at and inputs, which hold a
+# timestamp and the paths given on the command line
+AUDIT_MANIFEST = {
+    "run_id": "ecb0064a4dd3e723",
+    "stages": [1, 2, 3, 4, 5, 6, 7, 8],
+    "records": 2565,
+    "params": (
+        "EngineParams(beam_width=64, max_alternatives=4, alignment_beam=100,"
+        " max_stages=12, top_k=1)"
+    ),
+    "version": "0.1.0",
+}
+
 # the final pools of random_micro_instance seeds 0-299; a narrow pool
 # fills early, so these pin the pool cut where it acts most
 MICRO_PARAMS = {
@@ -126,13 +157,20 @@ def output_of(name: str, *learn_flags: str) -> str:
     return dump_grammar(result.best.grammar)
 
 
-def audit_digests(directory: Path) -> dict[str, str]:
+CLASS_INPUTS = {
+    "grammar": str(FIXTURES / "class_grammar.sp"),
+    "new": str(FIXTURES / "class_new.sp"),
+}
+
+
+def audit_digests(directory: Path, *flags: str) -> dict[str, str]:
     """Digest of every stage file the class parse writes to ``directory``."""
     _cli_stdout(
         "parse",
-        "--grammar", str(FIXTURES / "class_grammar.sp"),
-        "--new", str(FIXTURES / "class_new.sp"),
+        "--grammar", CLASS_INPUTS["grammar"],
+        "--new", CLASS_INPUTS["new"],
         "--audit", str(directory),
+        *flags,
     )
     return {
         path.name: _sha(path.read_text())
@@ -161,6 +199,14 @@ def test_output_bytes_are_pinned(case):
 
 def test_audit_stage_files_are_pinned(tmp_path):
     assert audit_digests(tmp_path) == AUDIT_DIGESTS
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest.pop("created_at")
+    assert manifest.pop("inputs") == CLASS_INPUTS
+    assert manifest == AUDIT_MANIFEST
+
+
+def test_indexed_audit_stage_files_are_pinned(tmp_path):
+    assert audit_digests(tmp_path, *INDEXED_AUDIT_FLAGS) == INDEXED_AUDIT_DIGESTS
 
 
 @pytest.mark.parametrize("name", sorted(MICRO_PARAMS))
@@ -176,5 +222,8 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for file, digest in audit_digests(Path(tmp)).items():
             print(f"audit/{file}\t{digest}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for file, digest in audit_digests(Path(tmp), *INDEXED_AUDIT_FLAGS).items():
+            print(f"indexed_audit/{file}\t{digest}")
     for name, params in MICRO_PARAMS.items():
         print(f"micro/{name}\t{micro_pool_digest(params)}")
