@@ -30,30 +30,7 @@ _STAGE_COLUMNS = (
     "serialization",
 )
 
-
-@dataclass(frozen=True)
-class AuditRecord:
-    run_id: str
-    stage: int
-    serialization: str
-    score_bits: float
-    survived: bool
-    index_hits: int
-    index_misses: int
-    workers: int
-
-    def row(self) -> str:
-        return "\t".join(
-            (
-                str(self.stage),
-                "1" if self.survived else "0",
-                f"{self.score_bits:.9f}",
-                str(self.index_hits),
-                str(self.index_misses),
-                str(self.workers),
-                self.serialization.replace("\n", "\\n"),
-            )
-        )
+_Stage = tuple[tuple[int, int], list[tuple[float, str, bool]]]
 
 
 def run_fingerprint(
@@ -69,87 +46,57 @@ def run_fingerprint(
 
 @dataclass
 class AuditTrail:
-    """Collects stage records during one analysis, then writes them out.
+    """Collects the ranked candidates of each stage, then writes them out.
 
-    Satisfies the engine's StageObserver hook.  ``index`` may be the
-    live match index whose counters are snapshotted per stage, and
-    ``workers`` is carried into every record for later inspection.
+    Satisfies the engine's StageObserver hook.  ``stages`` maps each
+    stage number to what it recorded: the live ``index``'s ``(hits,
+    misses)`` at that moment (zeros without one) and the stage's
+    ``(score_bits, serialization, survived)`` entries sorted by
+    serialization.  ``run_id`` and ``workers`` are kept once for the
+    run; ``write`` alone formats the files.
     """
 
     run_id: str
     workers: int = 1
     index: object | None = None
-    records: list[AuditRecord] = field(default_factory=list)
-    stages: list[int] = field(default_factory=list)
+    stages: dict[int, _Stage] = field(default_factory=dict)
 
     def record_stage(
         self, stage: int, entries: Sequence[tuple[float, str, bool]]
     ) -> None:
-        hits = getattr(self.index, "hits", 0)
-        misses = getattr(self.index, "misses", 0)
-        batch = [
-            AuditRecord(
-                run_id=self.run_id,
-                stage=stage,
-                serialization=ser,
-                score_bits=score,
-                survived=survived,
-                index_hits=hits,
-                index_misses=misses,
-                workers=self.workers,
-            )
-            for score, ser, survived in entries
-        ]
-        batch.sort(key=lambda r: (r.stage, r.serialization))
-        self.records.extend(batch)
-        self.stages.append(stage)
+        counters = (getattr(self.index, "hits", 0), getattr(self.index, "misses", 0))
+        self.stages[stage] = (counters, sorted(entries, key=lambda e: e[1]))
 
     def write(
         self,
         directory: str,
-        params: EngineParams,
-        inputs: dict[str, str],
+        params: EngineParams | None = None,
+        inputs: dict[str, str] | None = None,
     ) -> None:
-        write_audit(self.records, directory, params=params, inputs=inputs)
-
-
-def write_audit(
-    records: Sequence[AuditRecord],
-    directory: str,
-    params: EngineParams | None = None,
-    inputs: dict[str, str] | None = None,
-) -> list[str]:
-    """One TSV per stage plus manifest.json; returns the paths written."""
-    os.makedirs(directory, exist_ok=True)
-    by_stage: dict[int, list[AuditRecord]] = {}
-    for rec in records:
-        by_stage.setdefault(rec.stage, []).append(rec)
-
-    written = []
-    for stage in sorted(by_stage):
-        rows = sorted(by_stage[stage], key=lambda r: (r.stage, r.serialization))
-        path = os.path.join(directory, f"stage_{stage:03d}.tsv")
-        with open(path, "w") as f:
-            f.write("\t".join(_STAGE_COLUMNS) + "\n")
-            for rec in rows:
-                f.write(rec.row() + "\n")
-        written.append(path)
-
-    manifest = {
-        "run_id": records[0].run_id if records else "",
-        "stages": sorted(by_stage),
-        "records": len(records),
-        "params": repr(params) if params is not None else "",
-        "inputs": inputs or {},
-        "version": __version__,
-        "created_at": datetime.now(timezone.utc).isoformat(),
-    }
-    path = os.path.join(directory, "manifest.json")
-    with open(path, "w") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-        f.write("\n")
-    written.append(path)
-    return written
+        """One TSV per stage plus manifest.json."""
+        os.makedirs(directory, exist_ok=True)
+        for stage, ((hits, misses), entries) in sorted(self.stages.items()):
+            path = os.path.join(directory, f"stage_{stage:03d}.tsv")
+            with open(path, "w") as f:
+                f.write("\t".join(_STAGE_COLUMNS) + "\n")
+                for score, ser, survived in entries:
+                    ser = ser.replace("\n", "\\n")
+                    f.write(
+                        f"{stage}\t{int(survived)}\t{score:.9f}\t{hits}\t{misses}"
+                        f"\t{self.workers}\t{ser}\n"
+                    )
+        manifest = {
+            "run_id": self.run_id,
+            "stages": sorted(self.stages),
+            "records": sum(len(entries) for _, entries in self.stages.values()),
+            "params": repr(params) if params is not None else "",
+            "inputs": inputs or {},
+            "version": __version__,
+            "created_at": datetime.now(timezone.utc).isoformat(),
+        }
+        with open(os.path.join(directory, "manifest.json"), "w") as f:
+            json.dump(manifest, f, indent=1, sort_keys=True)
+            f.write("\n")
 
 
 def read_stage_file(path: str) -> list[dict[str, str]]:

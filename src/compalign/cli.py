@@ -23,7 +23,6 @@ from .audit import AuditTrail, run_fingerprint
 from .engine import EngineParams, analyse
 from .grammar_io import (
     format_pattern,
-    load_grammar,
     load_new,
     numbered_patterns,
     save_grammar,
@@ -48,6 +47,23 @@ def _load(loader, path: str, what: str):
         raise DomainError(f"{path}: {exc}")
 
 
+def _load_grammar(path: str) -> tuple[Grammar, list[str]]:
+    """The grammar in ``path`` and the problems validate_grammar finds in it,
+    each labelled with its source line."""
+    numbered = _load(
+        lambda path: numbered_patterns(Path(path).read_text()), path, "grammar"
+    )
+    grammar = Grammar.of(p for _, p in numbered)
+    return grammar, validate_grammar(grammar, [f"line {n}" for n, _ in numbered])
+
+
+def _valid_grammar(path: str) -> Grammar:
+    grammar, problems = _load_grammar(path)
+    if problems:
+        raise DomainError(f"{path}: {problems[0]}")
+    return grammar
+
+
 def _load_new(path: str):
     items = _load(load_new, path, "input")
     if not items:
@@ -56,7 +72,7 @@ def _load_new(path: str):
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
-    grammar = _load(load_grammar, args.grammar, "grammar")
+    grammar = _valid_grammar(args.grammar)
     news = _load_new(args.new)
     params = EngineParams(
         alignment_beam=args.beam,
@@ -133,7 +149,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
 
 def _cmd_neural(args: argparse.Namespace) -> int:
     require_at_least(0, steps=args.steps)
-    grammar = _load(load_grammar, args.grammar, "grammar")
+    grammar = _valid_grammar(args.grammar)
     inputs = _load_new(args.input)
     params = NeuralParams(
         baseline_rate=args.baseline,
@@ -174,12 +190,7 @@ def _cmd_neural(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    numbered = _load(
-        lambda path: numbered_patterns(Path(path).read_text()), args.grammar, "grammar"
-    )
-    grammar = Grammar.of(p for _, p in numbered)
-    labels = [f"line {n}" for n, _ in numbered]
-    problems = validate_grammar(grammar, labels)
+    _, problems = _load_grammar(args.grammar)
     if not problems:
         print("ok")
         return 0

@@ -306,7 +306,7 @@ def analyse(
                         continue
                 key = chains = None
                 if index is not None:
-                    key = index.fingerprint(
+                    key = (
                         gkey, ser, pat.serial, params.beam_width, params.max_alternatives
                     )
                     chains = index.get(key)

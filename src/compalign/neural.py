@@ -16,6 +16,7 @@ and missing one cell gives at most 2b(n-1)/n.  The default threshold of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,8 +31,11 @@ class NeuralParams:
     recognition_threshold: float = 1.8
 
     def __post_init__(self) -> None:
-        if self.baseline_rate <= 0 or self.inhibition_gain <= 0:
-            raise ValueError("rates must be positive")
+        for name in ("baseline_rate", "inhibition_gain"):
+            value = getattr(self, name)
+            # written so that nan fails too
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         require_at_least(1, settle_tau=self.settle_tau)
         if not 1.0 < self.recognition_threshold < 2.0:
             raise ValueError("threshold must sit between partial and full match")

@@ -2,32 +2,29 @@
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
+from collections.abc import Hashable
 from typing import Any
 
 from .model import require_at_least
 
 
 class MatchIndex:
-    """LRU cache of match results keyed by content fingerprints."""
+    """LRU cache of match results under plain hashable keys.
+
+    ``analyse`` keys a job by the tuple of everything its chains depend
+    on: grammar fingerprint, serialization, pattern serial, and the
+    matcher's two bounds.
+    """
 
     def __init__(self, capacity: int = 1_000_000):
         require_at_least(1, capacity=capacity)
         self.capacity = capacity
-        self._store: OrderedDict[str, Any] = OrderedDict()
+        self._store: OrderedDict[Hashable, Any] = OrderedDict()
         self.hits = 0
         self.misses = 0
 
-    @staticmethod
-    def fingerprint(*parts: Any) -> str:
-        h = hashlib.sha256()
-        for part in parts:
-            h.update(repr(part).encode())
-            h.update(b"\x00")
-        return h.hexdigest()
-
-    def get(self, key: str) -> Any | None:
+    def get(self, key: Hashable) -> Any | None:
         try:
             value = self._store[key]
         except KeyError:
@@ -37,7 +34,7 @@ class MatchIndex:
         self.hits += 1
         return value
 
-    def put(self, key: str, value: Any) -> None:
+    def put(self, key: Hashable, value: Any) -> None:
         self._store[key] = value
         self._store.move_to_end(key)
         while len(self._store) > self.capacity:

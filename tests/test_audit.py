@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +15,6 @@ from compalign import (
     MatchIndex,
     analyse,
     run_fingerprint,
-    write_audit,
 )
 from compalign.audit import read_stage_file
 
@@ -66,15 +64,18 @@ def test_two_runs_write_identical_stage_files(tmp_path, parsing_grammar, parsing
 
 def test_records_are_ordered_and_full(tmp_path, parsing_grammar, parsing_new):
     trail = _trail_for(parsing_new, parsing_grammar)
-    keys = [(r.stage, r.serialization) for r in trail.records]
-    assert keys == sorted(keys)
+    entries = [e for _, stage_entries in trail.stages.values() for e in stage_entries]
+    for _, stage_entries in trail.stages.values():
+        sers = [ser for _, ser, _ in stage_entries]
+        assert sers == sorted(sers)
     # the trail keeps pruned candidates, not only survivors
-    assert any(r.survived for r in trail.records)
+    assert any(survived for _, _, survived in entries)
+    assert not all(survived for _, _, survived in entries)
     out = tmp_path / "trail"
     trail.write(str(out), EngineParams(), {})
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["records"] == len(trail.records)
-    assert manifest["stages"] == sorted(set(trail.stages))
+    assert manifest["records"] == len(entries)
+    assert manifest["stages"] == sorted(trail.stages)
 
 
 @pytest.mark.parametrize("stem", ["parsing", "class"])
@@ -85,7 +86,7 @@ def test_trail_records_the_stage_that_ends_the_search(stem, request):
         request.getfixturevalue(f"{stem}_grammar"),
         audit=trail,
     )
-    assert trail.stages == list(range(1, result.stages_run + 1))
+    assert list(trail.stages) == list(range(1, result.stages_run + 1))
 
 
 @settings(max_examples=30, deadline=None)
@@ -94,7 +95,7 @@ def test_trail_ends_at_the_last_stage_run(seed):
     new, grammar = random_micro_instance(random.Random(seed))
     trail = AuditTrail(run_id="last-stage")
     result = analyse(new, grammar, audit=trail)
-    assert trail.stages == list(range(1, result.stages_run + 1))
+    assert list(trail.stages) == list(range(1, result.stages_run + 1))
 
 
 def test_no_pruned_candidate_outscores_a_survivor(
@@ -122,31 +123,37 @@ def test_no_pruned_candidate_outscores_a_survivor(
 
 
 def test_stage_files_round_trip_through_the_reader(tmp_path, parsing_grammar, parsing_new):
-    trail = _trail_for(parsing_new, parsing_grammar)
+    # three workers, so the column does not show the default
+    trail = _trail_for(parsing_new, parsing_grammar, workers=3)
     out = tmp_path / "trail"
     trail.write(str(out), EngineParams(), {})
     stage_paths = sorted(out.glob("stage_*.tsv"))
     rows = read_stage_file(str(stage_paths[0]))
     stage_no = int(stage_paths[0].stem.split("_")[1])
-    wanted = [r for r in trail.records if r.stage == stage_no]
+    _, wanted = trail.stages[stage_no]
     assert len(rows) == len(wanted)
-    for got, rec in zip(rows, wanted):
-        assert got["serialization"] == rec.serialization.replace("\n", "\\n")
-        assert float(got["score_bits"]) == round(rec.score_bits, 9)
-        assert got["workers"] == str(rec.workers)
+    for got, (score, ser, survived) in zip(rows, wanted):
+        assert got["stage"] == str(stage_no)
+        assert got["survived"] == ("1" if survived else "0")
+        assert got["serialization"] == ser.replace("\n", "\\n")
+        assert float(got["score_bits"]) == round(score, 9)
+        assert got["workers"] == "3"
 
 
 def test_trail_snapshots_cache_counters(parsing_grammar, parsing_new):
     index = MatchIndex()
     _trail_for(parsing_new, parsing_grammar, index=index)  # cold run fills it
     trail = _trail_for(parsing_new, parsing_grammar, index=index)
-    last = trail.records[-1]
-    assert last.index_hits > 0
-    assert last.index_hits + last.index_misses > 0
+    (hits, misses), _ = trail.stages[max(trail.stages)]
+    assert hits > 0
+    assert hits + misses > 0
 
 
-def test_write_audit_handles_empty_record_list(tmp_path):
-    paths = write_audit([], str(tmp_path / "empty"))
-    assert [Path(p).name for p in paths] == ["manifest.json"]
-    manifest = json.loads(Path(paths[0]).read_text())
+def test_trail_without_stages_writes_only_the_manifest(tmp_path):
+    out = tmp_path / "empty"
+    AuditTrail(run_id="empty").write(str(out))
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["records"] == 0
+    assert manifest["stages"] == []
+    assert manifest["run_id"] == "empty"

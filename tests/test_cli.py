@@ -39,6 +39,9 @@ NEURAL = (
         (NEURAL + ("--steps", "-5"), "steps must be at least 0, got -5"),
         # a beam of 1 holds only the empty grammar, which the pool always keeps
         (REPEAT_LEARN + ("--grammar-beam", "1"), "grammar_beam must be at least 2, got 1"),
+        # nan passes a `<= 0` test, so both rates are checked to be finite
+        (NEURAL + ("--baseline", "nan"), "baseline_rate must be positive and finite, got nan"),
+        (NEURAL + ("--gain", "inf"), "inhibition_gain must be positive and finite, got inf"),
     ],
 )
 def test_bad_parameters_exit_2_with_one_line(argv, message, capsys):
@@ -46,6 +49,42 @@ def test_bad_parameters_exit_2_with_one_line(argv, message, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == message + "\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("parse", "--grammar", "{g}", "--new", "{g}"),
+        ("neural", "--grammar", "{g}", "--input", "{g}"),
+    ],
+    ids=["parse", "neural"],
+)
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("1 a <+> b\n", "line 1: <+> is reserved for input"),
+        ("1 X | | #X\n", "line 1: no contents between id and close spans"),
+        ("# two equal lines\n1 a b\n1 a b\n", "line 3: duplicates line 2"),
+    ],
+    ids=["separator", "no-contents", "duplicate"],
+)
+def test_invalid_grammar_exits_1_with_its_first_problem(
+    command, text, problem, tmp_path, capsys, monkeypatch
+):
+    # parse and neural refuse a grammar that validate rejects, before any work
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran on an invalid grammar")
+
+    monkeypatch.setattr(cli, "analyse", no_work)
+    monkeypatch.setattr(cli, "InhibitionNetwork", no_work)
+    grammar = tmp_path / "g.sp"
+    grammar.write_text(text)
+    assert main([arg.format(g=grammar) for arg in command]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"{grammar}: {problem}\n"
+    assert main(["validate", "--grammar", str(grammar)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == problem
 
 
 @pytest.mark.parametrize(

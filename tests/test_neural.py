@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -140,6 +141,11 @@ def test_parameter_validation():
         NeuralParams(settle_tau=0)
     with pytest.raises(ValueError):
         NeuralParams(recognition_threshold=2.5)
+    # nan fails no `<= 0` test, so the rates are checked to be finite too
+    for name in ("baseline_rate", "inhibition_gain"):
+        for value in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                NeuralParams(**{name: value})
 
 
 def test_rates_never_go_negative():

@@ -17,18 +17,9 @@ def test_worker_count_must_be_positive(parsing_grammar, parsing_new):
 # --- match cache ---
 
 
-def test_fingerprints_are_stable_and_distinct():
-    a = MatchIndex.fingerprint("g1", "alignment", ("p", 1))
-    b = MatchIndex.fingerprint("g1", "alignment", ("p", 1))
-    c = MatchIndex.fingerprint("g1", "alignment", ("p", 2))
-    assert a == b
-    assert a != c
-    assert len(a) == 64
-
-
 def test_counters_track_hits_and_misses():
     index = MatchIndex()
-    key = MatchIndex.fingerprint("k")
+    key = ("g1", "alignment", 1, 64, 4)
     assert index.get(key) is None
     index.put(key, [1, 2])
     assert index.get(key) == [1, 2]
@@ -38,7 +29,7 @@ def test_counters_track_hits_and_misses():
 
 def test_eviction_is_least_recently_used():
     index = MatchIndex(capacity=2)
-    ka, kb, kc = (MatchIndex.fingerprint(x) for x in "abc")
+    ka, kb, kc = (("g1", x, 0) for x in "abc")
     index.put(ka, "a")
     index.put(kb, "b")
     assert index.get(ka) == "a"  # refreshes a over b
